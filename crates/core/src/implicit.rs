@@ -15,75 +15,24 @@
 //! [`ImplicitOrder`] stores exactly that: a [`RunGenerator`] per run
 //! (the label oracle), a fragment treap ([`RunTree`]) ordering the
 //! runs' contiguous blocks by label with cached *virtual* counts, and a
-//! bounded id→arrival-tag memo so the hot queries — rank and arrival
-//! tag of summary-retained items — skip the O(log n · |label|)
-//! generator descent. Every answer is byte-identical to what the
-//! materialized treap over the same stream would give (the differential
-//! suite in `cqs-bench` pins this at moderate N), because both sides
-//! replay the identical subdivision.
+//! bounded direct-mapped id→arrival-tag cache ([`TagCache`]) so the hot
+//! queries — rank and arrival tag of summary-retained items — skip the
+//! O(log n · |label|) generator descent. A rank query is one
+//! neighbour-free fragment descent (a batch of them, one
+//! [`RunTree::multi_locate`] walk) plus an O(1) cache lookup for the
+//! offset inside the fragment. Every answer is byte-identical to what
+//! the materialized treap over the same stream would give (the
+//! differential suite in `cqs-bench` pins this at moderate N), because
+//! both sides replay the identical subdivision.
 //!
-//! Memory is O(#fragments + memo capacity + summary-retained label
+//! Memory is O(#fragments + cache capacity + summary-retained label
 //! bytes): sublinear in N, which is what lets the Theorem 2.2 sweep
 //! verify the Ω((1/ε)·log εN) shape at N = 10⁸–10⁹ on one machine.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-
-use cqs_ostree::{Fragment, RunTree};
+use cqs_ostree::{Fragment, Locate, RunTree};
 use cqs_universe::{Interval, Item, RunGenerator};
 
-/// Bounded two-generation memo from arena id to global arrival tag.
-///
-/// Seeded eagerly when a run is inserted (every item's tag is known at
-/// that moment for free) and consulted on every rank / tag query. A hit
-/// resolves the item's in-run index by subtraction; a miss falls back
-/// to the generator descent and re-memoizes. Eviction is generational:
-/// when the current generation fills, it becomes the previous
-/// generation and a fresh one starts — entries touched at least once
-/// per generation (summary-retained items are touched every leaf)
-/// survive indefinitely, while one-shot transients age out. Memory is
-/// bounded by `2 × cap` entries regardless of N.
-struct TagMemo {
-    cap: usize,
-    cur: BTreeMap<u32, u64>,
-    prev: BTreeMap<u32, u64>,
-}
-
-impl TagMemo {
-    fn new(cap: usize) -> Self {
-        TagMemo {
-            cap: cap.max(1),
-            cur: BTreeMap::new(),
-            prev: BTreeMap::new(),
-        }
-    }
-
-    /// Looks up an id, promoting previous-generation hits so recently
-    /// used entries keep surviving rotations.
-    fn get(&mut self, id: u32) -> Option<u64> {
-        if let Some(&tag) = self.cur.get(&id) {
-            return Some(tag);
-        }
-        if let Some(tag) = self.prev.remove(&id) {
-            self.insert(id, tag);
-            return Some(tag);
-        }
-        None
-    }
-
-    fn insert(&mut self, id: u32, tag: u64) {
-        if self.cur.len() >= self.cap {
-            self.prev = std::mem::take(&mut self.cur);
-        }
-        self.cur.insert(id, tag);
-    }
-}
-
-/// Default memo capacity per generation. Sized to hold the largest
-/// plausible summary working set (stored items + one leaf run) with
-/// ample slack: 2 × 2¹⁸ entries ≈ 6 MiB of map either side,
-/// independent of N.
-const MEMO_CAP: usize = 1 << 18;
+use crate::tag_cache::TagCache;
 
 /// The interval-compressed order index. See the module docs.
 pub(crate) struct ImplicitOrder {
@@ -96,9 +45,9 @@ pub(crate) struct ImplicitOrder {
     tree: RunTree<Item>,
     /// Total virtual items (= stream length so far).
     len: u64,
-    /// Id → arrival tag fast path; interior-mutable because rank and
-    /// tag queries take `&self` but hits promote generations.
-    memo: RefCell<TagMemo>,
+    /// Id → arrival tag fast path, seeded with every run as it arrives
+    /// and re-seeded by every generator lookup.
+    cache: TagCache,
 }
 
 impl ImplicitOrder {
@@ -108,7 +57,17 @@ impl ImplicitOrder {
             starts: Vec::new(),
             tree: RunTree::new(),
             len: 0,
-            memo: RefCell::new(TagMemo::new(MEMO_CAP)),
+            cache: TagCache::default(),
+        }
+    }
+
+    /// An index whose tag cache has `cap` slots — small capacities force
+    /// constant evictions, which the collision tests rely on.
+    #[cfg(test)]
+    pub(crate) fn with_cache_capacity(cap: usize) -> Self {
+        ImplicitOrder {
+            cache: TagCache::with_capacity(cap),
+            ..Self::new()
         }
     }
 
@@ -156,12 +115,9 @@ impl ImplicitOrder {
             base: 0,
         });
         let start = self.len;
-        {
-            let memo = &mut *self.memo.borrow_mut();
-            for (j, it) in items.iter().enumerate() {
-                if let Some(id) = it.arena_id() {
-                    memo.insert(id, start + j as u64);
-                }
+        for (j, it) in (start..).zip(items) {
+            if let Some(id) = it.arena_id() {
+                self.cache.set(id, j);
             }
         }
         self.gens.push(RunGenerator::new(iv, count));
@@ -182,24 +138,20 @@ impl ImplicitOrder {
         let cqs_universe::Endpoint::Finite(a) = iv.lo() else {
             return;
         };
-        let needs_split = match self.tree.locate(a).hit {
-            Some(f) => f.hi != *a,
-            None => false,
+        let idx = match self.tree.locate(a).hit {
+            Some(f) if f.hi != *a => self.position_in(f, a),
+            _ => return,
         };
-        if !needs_split {
+        // A locate hit on a stream item guarantees both lookups succeed;
+        // on the guarded driver path we still degrade to a no-op
+        // (reinserting what was removed) rather than unwind.
+        let Ok(idx) = idx else {
             return;
-        }
-        // A locate hit guarantees both lookups succeed; on the guarded
-        // driver path we still degrade to a no-op (reinserting what was
-        // removed) rather than unwind.
+        };
         let Some(f) = self.tree.remove_containing(a) else {
             return;
         };
         let Some(gen) = self.gens.get(f.run as usize) else {
-            self.tree.insert_fragment(f);
-            return;
-        };
-        let Some(idx) = self.id_index(f.run, a).or_else(|| gen.index_of(a.label())) else {
             self.tree.insert_fragment(f);
             return;
         };
@@ -223,14 +175,46 @@ impl ImplicitOrder {
         self.tree.insert_fragment(right);
     }
 
-    /// Memo fast path: the in-run index of `q` within run `run`, if the
-    /// memo knows `q`'s arrival tag and it belongs to that run.
-    fn id_index(&self, run: u32, q: &Item) -> Option<u64> {
-        let id = q.arena_id()?;
-        let tag = self.memo.borrow_mut().get(id)?;
-        let start = *self.starts.get(run as usize)?;
-        let idx = tag.checked_sub(start)?;
-        (idx < self.gens.get(run as usize)?.count()).then_some(idx)
+    /// Where `q` falls in the run of fragment `f`, which contains it by
+    /// label range: `Ok(in-run index)` when `q` is a stream item, else
+    /// `Err(run items below q)` (cf. [`RunGenerator::position`]).
+    ///
+    /// The cache answers stream items in O(1); everything else pays the
+    /// generator descent, and a stream item found that way is cached for
+    /// next time. A missing generator (never on a well-formed index)
+    /// degrades to "nothing of the fragment below `q`".
+    fn position_in(&self, f: &Fragment<Item>, q: &Item) -> Result<u64, u64> {
+        let start = self.starts.get(f.run as usize).copied();
+        let cached = q
+            .arena_id()
+            .and_then(|id| self.cache.get(id))
+            .zip(start)
+            .and_then(|(tag, start)| tag.checked_sub(start));
+        if let Some(idx) = cached.filter(|&idx| idx >= f.base && idx < f.base + f.count) {
+            return Ok(idx);
+        }
+        let pos = self
+            .gens
+            .get(f.run as usize)
+            .map_or(Err(f.base), |g| g.position(q.label()));
+        if let (Ok(idx), Some(id), Some(start)) = (pos, q.arena_id(), start) {
+            self.cache.set(id, start + idx);
+        }
+        pos
+    }
+
+    /// How many stream items compare `<= q`, for the probe whose
+    /// fragment search ended at `l`.
+    fn le_at(&self, l: &Locate<'_, Item>, q: &Item) -> u64 {
+        match l.hit {
+            None => l.before,
+            Some(f) => {
+                let le = self
+                    .position_in(f, q)
+                    .map_or_else(|below| below, |idx| idx + 1);
+                l.before + le.saturating_sub(f.base)
+            }
+        }
     }
 
     /// How many stream items compare strictly below `q`.
@@ -239,99 +223,60 @@ impl ImplicitOrder {
         match l.hit {
             None => l.before,
             Some(f) => {
-                let in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_less(q.label())),
-                };
-                l.before + (in_run - f.base)
+                let less = self.position_in(f, q).unwrap_or_else(|below| below);
+                l.before + less.saturating_sub(f.base)
             }
         }
     }
 
     /// How many stream items compare `<= q`.
     pub(crate) fn count_le(&self, q: &Item) -> u64 {
-        let l = self.tree.locate(q);
-        match l.hit {
-            None => l.before,
-            Some(f) => {
-                let le_in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx + 1,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_le(q.label())),
-                };
-                l.before + (le_in_run - f.base)
-            }
-        }
+        self.le_at(&self.tree.locate(q), q)
+    }
+
+    /// The arrival tag of `q` if the cache holds it — no tree descent.
+    fn cached_tag(&self, q: &Item) -> Option<u64> {
+        self.cache.get(q.arena_id()?)
+    }
+
+    /// The arrival tag of the probe whose fragment search ended at `l`,
+    /// if it is a stream item.
+    fn tag_at(&self, l: &Locate<'_, Item>, q: &Item) -> Option<u64> {
+        let f = l.hit?;
+        let idx = self.position_in(f, q).ok()?;
+        Some(*self.starts.get(f.run as usize)? + idx)
     }
 
     /// The arrival tag of stream item `q`, if `q` is in the stream.
     pub(crate) fn tag_of(&self, q: &Item) -> Option<u64> {
-        if let Some(id) = q.arena_id() {
-            if let Some(tag) = self.memo.borrow_mut().get(id) {
-                return Some(tag);
-            }
-        }
-        let f = self.tree.locate(q).hit?;
-        let idx = self.gens.get(f.run as usize)?.index_of(q.label())?;
-        debug_assert!(idx >= f.base && idx < f.base + f.count);
-        let tag = *self.starts.get(f.run as usize)? + idx;
-        if let Some(id) = q.arena_id() {
-            self.memo.borrow_mut().insert(id, tag);
-        }
-        Some(tag)
+        self.cached_tag(q)
+            .or_else(|| self.tag_at(&self.tree.locate(q), q))
     }
 
     /// The smallest stream item strictly above `q`, freshly
     /// materialized. Label-equality makes the mint interchangeable with
     /// the original arrival.
     pub(crate) fn successor(&self, q: &Item) -> Option<Item> {
-        let l = self.tree.locate(q);
-        match l.hit {
-            Some(f) => {
-                let le_in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx + 1,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_le(q.label())),
-                };
-                if le_in_run < f.base + f.count {
-                    self.gens.get(f.run as usize).map(|g| g.item_at(le_in_run))
-                } else {
-                    l.succ.map(|s| s.lo.clone())
-                }
+        if let Some(f) = self.tree.locate(q).hit {
+            let le = self
+                .position_in(f, q)
+                .map_or_else(|below| below, |idx| idx + 1);
+            if le < f.base + f.count {
+                return self.gens.get(f.run as usize).map(|g| g.item_at(le));
             }
-            None => l.succ.map(|s| s.lo.clone()),
         }
+        self.tree.first_above(q).map(|s| s.lo.clone())
     }
 
     /// The largest stream item strictly below `q`, freshly materialized.
     pub(crate) fn predecessor(&self, q: &Item) -> Option<Item> {
-        let l = self.tree.locate(q);
-        match l.hit {
-            Some(f) => {
-                let less_in_run = match self.id_index(f.run, q) {
-                    Some(idx) if idx >= f.base && idx < f.base + f.count => idx,
-                    _ => self
-                        .gens
-                        .get(f.run as usize)
-                        .map_or(f.base, |g| g.count_less(q.label())),
-                };
-                if less_in_run > f.base {
-                    self.gens
-                        .get(f.run as usize)
-                        .map(|g| g.item_at(less_in_run - 1))
-                } else {
-                    l.pred.map(|p| p.hi.clone())
-                }
+        if let Some(f) = self.tree.locate(q).hit {
+            let less = self.position_in(f, q).unwrap_or_else(|below| below);
+            if less > f.base {
+                return self.gens.get(f.run as usize).map(|g| g.item_at(less - 1));
             }
-            None => l.pred.map(|p| p.hi.clone()),
         }
+        self.tree.last_below(q).map(|p| p.hi.clone())
     }
 
     /// The smallest stream item.
@@ -344,11 +289,37 @@ impl ImplicitOrder {
         self.tree.last().map(|f| f.hi.clone())
     }
 
-    /// Batched [`Self::tag_of`] over label-sorted queries.
+    /// Batched [`Self::count_le`] over label-sorted queries: one
+    /// [`RunTree::multi_locate`] walk finds every query's fragment, and
+    /// the in-fragment offsets come from the cache. `out` is cleared
+    /// first; `out[i]` answers `qs[i]`.
+    pub(crate) fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
+        let mut found = Vec::with_capacity(qs.len());
+        self.tree.multi_locate(qs, &mut found);
+        out.clear();
+        out.extend(
+            qs.iter()
+                .zip(&found)
+                .map(|(q, l)| self.le_at(l, q) as usize),
+        );
+    }
+
+    /// Batched [`Self::tag_of`] over label-sorted queries. Cached items
+    /// resolve without touching the tree; only when some query misses
+    /// does one [`RunTree::multi_locate`] walk run, and it resolves
+    /// every miss. `out` is cleared first; `out[i]` answers `qs[i]`.
     pub(crate) fn multi_tag_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
-        out.reserve(qs.len());
-        for q in qs {
-            out.push(self.tag_of(q));
+        out.clear();
+        out.extend(qs.iter().map(|q| self.cached_tag(q)));
+        if out.iter().all(Option::is_some) {
+            return;
+        }
+        let mut found = Vec::with_capacity(qs.len());
+        self.tree.multi_locate(qs, &mut found);
+        for ((slot, q), l) in out.iter_mut().zip(qs).zip(&found) {
+            if slot.is_none() {
+                *slot = self.tag_at(l, q);
+            }
         }
     }
 
@@ -382,8 +353,16 @@ mod tests {
     /// implicit index, from a root run refined twice in the adversary's
     /// pattern (mint between order-adjacent items).
     fn build_both(root_n: usize, leaf_n: usize) -> (OsTree<Item>, ImplicitOrder) {
+        build_both_with(ImplicitOrder::new(), root_n, leaf_n)
+    }
+
+    /// [`build_both`] into a caller-configured implicit index.
+    fn build_both_with(
+        mut imp: ImplicitOrder,
+        root_n: usize,
+        leaf_n: usize,
+    ) -> (OsTree<Item>, ImplicitOrder) {
         let mut mat = OsTree::new();
-        let mut imp = ImplicitOrder::new();
         let mut tag = 0u64;
         let mut feed =
             |mat: &mut OsTree<Item>, imp: &mut ImplicitOrder, iv: &Interval, n: usize| {
@@ -413,6 +392,12 @@ mod tests {
     #[test]
     fn matches_materialized_treap_on_refined_stream() {
         let (mat, imp) = build_both(32, 8);
+        assert_matches_materialized(&mat, &imp);
+    }
+
+    /// Every point query of `imp` — on each stream item and on a probe
+    /// between each adjacent pair — answers as the treap `mat` does.
+    fn assert_matches_materialized(mat: &OsTree<Item>, imp: &ImplicitOrder) {
         assert_eq!(imp.len(), mat.len() as u64);
         let mut all: Vec<(Item, u64)> = Vec::new();
         mat.for_each_tagged(&mut |it, t| all.push((it.clone(), t)));
@@ -468,31 +453,41 @@ mod tests {
         let (mat, imp) = build_both(16, 4);
         let mut qs: Vec<Item> = Vec::new();
         mat.for_each_tagged(&mut |it, _| qs.push(it.clone()));
+        // Probes between adjacent items, and fresh re-mints that miss
+        // the cache, ride in the same sorted batch.
+        let mut batch: Vec<Item> = Vec::new();
+        for w in qs.windows(2) {
+            batch.push(w[0].clone());
+            batch.push(Item::from_label(w[0].label().to_vec()));
+            batch.push(cqs_universe::between_items(&w[0], &w[1]));
+        }
         let mut tags = Vec::new();
+        imp.multi_tag_of(&batch, &mut tags);
+        let mut les = Vec::new();
+        imp.multi_count_le(&batch, &mut les);
+        assert_eq!((tags.len(), les.len()), (batch.len(), batch.len()));
+        for (i, q) in batch.iter().enumerate() {
+            assert_eq!(tags[i], imp.tag_of(q));
+            assert_eq!(les[i] as u64, imp.count_le(q));
+            assert_eq!(les[i], mat.count_le(q));
+        }
+        // Whole-cache hits skip the walk and still answer in order.
         imp.multi_tag_of(&qs, &mut tags);
         for (i, q) in qs.iter().enumerate() {
-            assert_eq!(tags[i], imp.tag_of(q));
+            assert_eq!(tags[i], mat.tag_of(q));
         }
     }
 
     #[test]
-    fn memo_rotation_keeps_answers_correct() {
-        let mut imp = ImplicitOrder::new();
-        imp.memo.replace(TagMemo::new(4)); // force constant rotation
-        let whole = Interval::whole();
-        let items = generate_increasing(&whole, 64);
-        imp.insert_run(&whole, &items);
-        let iv = Interval::open(items[10].clone(), items[11].clone());
-        let inner = generate_increasing(&iv, 32);
-        imp.insert_run(&iv, &inner);
-        for (j, it) in items.iter().enumerate() {
-            let extra = if j <= 10 { 0 } else { 32 };
-            assert_eq!(imp.count_less(it), j as u64 + extra);
-            assert_eq!(imp.tag_of(it), Some(j as u64));
-        }
-        for (j, it) in inner.iter().enumerate() {
-            assert_eq!(imp.count_less(it), 11 + j as u64);
-            assert_eq!(imp.tag_of(it), Some(64 + j as u64));
+    fn cache_collisions_keep_answers_correct() {
+        // One and four slots: nearly every lookup collides with, or was
+        // evicted by, another id, so answers come from the generators.
+        for cap in [1, 4] {
+            let (mat, imp) = build_both_with(ImplicitOrder::with_cache_capacity(cap), 32, 8);
+            assert_matches_materialized(&mat, &imp);
+            // A second pass runs against the re-stored (and re-evicted)
+            // entries of the first.
+            assert_matches_materialized(&mat, &imp);
         }
     }
 

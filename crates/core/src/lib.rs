@@ -70,6 +70,7 @@ pub mod refine;
 pub mod rng;
 pub mod spacegap;
 pub mod state;
+mod tag_cache;
 
 pub use adversary::{
     run_lower_bound, try_run_adversary, try_run_adversary_repr, Adversary, AdversaryBudget,

@@ -15,6 +15,7 @@ use cqs_universe::{Endpoint, Interval, Item};
 
 use crate::implicit::ImplicitOrder;
 use crate::model::ComparisonSummary;
+use crate::tag_cache::TagCache;
 
 /// How a [`StreamState`] represents the stream's order statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,23 +104,14 @@ impl OrderIndex {
     fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
         match self {
             OrderIndex::Materialized(t) => t.multi_count_le(qs, out),
-            OrderIndex::Implicit(i) => {
-                out.clear();
-                out.reserve(qs.len());
-                for q in qs {
-                    out.push(i.count_le(q) as usize);
-                }
-            }
+            OrderIndex::Implicit(i) => i.multi_count_le(qs, out),
         }
     }
 
     fn multi_tag_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
         match self {
             OrderIndex::Materialized(t) => t.multi_tag_of(qs, out),
-            OrderIndex::Implicit(i) => {
-                out.clear();
-                i.multi_tag_of(qs, out);
-            }
+            OrderIndex::Implicit(i) => i.multi_tag_of(qs, out),
         }
     }
 
@@ -176,11 +168,6 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
             OrderIndex::Materialized(_) => StreamRepr::Materialized,
             OrderIndex::Implicit(_) => StreamRepr::Implicit,
         }
-    }
-
-    /// Whether the stream is interval-compressed.
-    pub fn is_implicit(&self) -> bool {
-        matches!(self.order, OrderIndex::Implicit(_))
     }
 
     /// Rebuilds a state from snapshot parts: a restored summary plus the
@@ -680,23 +667,25 @@ pub fn check_indistinguishable<S: ComparisonSummary<Item>>(
 /// growing pair of streams.
 ///
 /// Arrival positions never change once an item enters its stream, so an
-/// item's tag, once learned, is valid forever. The checker memoizes
-/// tags per side in a direct-mapped arena-id table ([`TagTable`]): each
-/// call streams the item arrays straight off the summaries (no
-/// materialisation, no item clones for previously seen items) and only
-/// never-seen items pay a treap lookup — all of them in one batched
-/// walk. Amortized cost per leaf is therefore O(|I| + new·log N)
-/// instead of O(|I|·log N), which is what makes the per-leaf
-/// Definition 3.2 check affordable at depth k = 12.
+/// item's tag, once learned, is valid forever. The checker caches tags
+/// per side in a bounded direct-mapped arena-id table (2¹⁸ slots, 2 MiB
+/// per side, in either stream representation): each call streams the
+/// item arrays straight off the summaries (no materialisation, no item
+/// clones for cached items), and only items missing from the table pay
+/// an index lookup — all of them in one batched walk. Items stay cached
+/// until a later item with a colliding id evicts them, so the cost per
+/// leaf is O(|I| + new·log N), where `new` counts the items stored since
+/// the previous call plus the rare evicted ones, instead of
+/// O(|I|·log N). That is what makes the per-leaf Definition 3.2 check
+/// affordable at depth k = 12 and beyond.
 ///
 /// Any anomaly (size mismatch, unknown item, tag divergence) falls back
 /// to the full [`check_indistinguishable`] walk, so results — including
-/// the diagnostic strings — are always identical to the non-memoized
-/// check.
+/// the diagnostic strings — are always identical to the uncached check.
 #[derive(Default)]
 pub struct EquivalenceChecker {
-    tag_pi: TagTable,
-    tag_rho: TagTable,
+    tag_pi: TagCache,
+    tag_rho: TagCache,
     // Streaming scratch, reused across calls so a steady-state check
     // performs no allocation at all.
     tags_pi: Vec<u64>,
@@ -707,9 +696,21 @@ pub struct EquivalenceChecker {
 }
 
 impl EquivalenceChecker {
-    /// A checker with an empty memo (first call runs at full cost).
+    /// A checker with an empty cache (first call runs at full cost).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A checker whose per-side caches have `cap` slots — small
+    /// capacities force constant evictions, which the collision tests
+    /// rely on.
+    #[cfg(test)]
+    pub(crate) fn with_cache_capacity(cap: usize) -> Self {
+        EquivalenceChecker {
+            tag_pi: TagCache::with_capacity(cap),
+            tag_rho: TagCache::with_capacity(cap),
+            ..Self::default()
+        }
     }
 
     /// Semantically identical to [`check_indistinguishable`] on the same
@@ -721,14 +722,14 @@ impl EquivalenceChecker {
     ) -> Result<(), String> {
         let ok = resolve_side_streaming(
             pi,
-            &mut self.tag_pi,
+            &self.tag_pi,
             &mut self.tags_pi,
             &mut self.misses,
             &mut self.miss_pos,
             &mut self.miss_tags,
         ) && resolve_side_streaming(
             rho,
-            &mut self.tag_rho,
+            &self.tag_rho,
             &mut self.tags_rho,
             &mut self.misses,
             &mut self.miss_pos,
@@ -740,87 +741,24 @@ impl EquivalenceChecker {
             return Ok(());
         }
         // Anomaly: let the reference walk produce the diagnostic. The
-        // tag tables stay — a memoized tag is an immutable fact about
-        // its stream, never stale.
+        // caches stay — a cached tag is an immutable fact about its
+        // stream, never stale.
         check_indistinguishable(pi, rho)
     }
 }
 
-/// Direct-mapped arena-id → arrival-tag memo for one stream side.
-///
-/// Arrival positions never change once an item enters its stream, and
-/// arena ids are globally unique with id equality proving label equality
-/// ([`Item::arena_id`]), so `id → tag` is an immutable fact: the table
-/// only ever grows and is never invalidated. Ids minted during one
-/// adversary run form a compact range, so a plain vector offset by the
-/// first id seen beats a hash map; `u32::MAX` marks unknown slots.
-///
-/// Tags are stored as `u32`: the table is the equivalence check's
-/// hottest randomly-accessed structure, and halving its footprint keeps
-/// it cache-resident at bench stream lengths. A stream position at or
-/// beyond `u32::MAX` (never reached in practice) is simply not
-/// memoized — the item stays a miss and resolves through the batched
-/// treap walk, costing speed, never correctness.
-#[derive(Default)]
-struct TagTable {
-    base: u32,
-    tags: Vec<u32>,
-}
-
-impl TagTable {
-    const EMPTY: u32 = u32::MAX;
-
-    fn get(&self, id: u32) -> Option<u64> {
-        let idx = (id as usize).checked_sub(self.base as usize)?;
-        match self.tags.get(idx) {
-            Some(&t) if t != Self::EMPTY => Some(u64::from(t)),
-            _ => None,
-        }
-    }
-
-    fn set(&mut self, id: u32, tag: u64) {
-        let Ok(tag) = u32::try_from(tag) else {
-            // Beyond the compact representation; the item would just
-            // stay a cache miss.
-            return;
-        };
-        if tag == Self::EMPTY {
-            // The sentinel value itself is likewise unrepresentable.
-            return;
-        }
-        if self.tags.is_empty() {
-            self.base = id;
-        } else if id < self.base {
-            // Rare: an id below the first one seen. Re-base by
-            // prepending empty slots.
-            let shift = (self.base - id) as usize;
-            let old = std::mem::take(&mut self.tags);
-            self.tags = std::iter::repeat_n(Self::EMPTY, shift).chain(old).collect();
-            self.base = id;
-        }
-        let idx = (id - self.base) as usize;
-        if idx >= self.tags.len() {
-            self.tags.resize(idx + 1, Self::EMPTY);
-        }
-        if let Some(slot) = self.tags.get_mut(idx) {
-            *slot = tag;
-        }
-    }
-}
-
 /// Arrival tags of one side's item array, streamed straight off the
-/// summary (no intermediate `item_array` materialisation): items seen in
-/// any earlier call resolve from the [`TagTable`] in O(1) with no item
-/// clone at all, and the newly stored remainder — sorted, because the
-/// walk is — pays ONE batched treap walk
+/// summary (no intermediate `item_array` materialisation): cached items
+/// resolve in O(1) with no item clone at all, and the remainder —
+/// sorted, because the walk is — pays ONE batched index walk
 /// ([`StreamState::multi_arrival_of`]) instead of an O(log N) descent
-/// per miss, then lands in the table for every later call. Fills `tags`
-/// with the array's tag sequence. Returns `false` if any item never
-/// appeared in its stream (an anomaly; the caller falls back to the
-/// reference walk for the diagnostic).
+/// per miss, then lands in the cache for later calls. Fills `tags` with
+/// the array's tag sequence. Returns `false` if any item never appeared
+/// in its stream (an anomaly; the caller falls back to the reference
+/// walk for the diagnostic).
 fn resolve_side_streaming<S: ComparisonSummary<Item>>(
     st: &StreamState<S>,
-    table: &mut TagTable,
+    cache: &TagCache,
     tags: &mut Vec<u64>,
     misses: &mut Vec<Item>,
     miss_pos: &mut Vec<usize>,
@@ -829,22 +767,10 @@ fn resolve_side_streaming<S: ComparisonSummary<Item>>(
     tags.clear();
     misses.clear();
     miss_pos.clear();
-    // The dense id-indexed table spans the full range of arena ids the
-    // run has minted — Θ(N) slots. That is the right trade on a
-    // materialized stream (which is Θ(N) anyway), but it would be the
-    // single superlinear structure of an interval-compressed stream,
-    // whose own index already memoizes id → tag in bounded space. So
-    // implicit streams skip the table: every item goes through the
-    // batched lookup, which the implicit index answers from its memo.
-    let memoize = !st.is_implicit();
-    // Pass 1: table lookups; misses are queued for the batch, with a
+    // Pass 1: cache lookups; misses are queued for the batch, with a
     // placeholder tag marking the slot to patch.
     st.summary.for_each_item(&mut |q| {
-        let hit = if memoize {
-            q.arena_id().and_then(|id| table.get(id))
-        } else {
-            None
-        };
+        let hit = q.arena_id().and_then(|id| cache.get(id));
         match hit {
             Some(t) => tags.push(t),
             None => {
@@ -859,15 +785,13 @@ fn resolve_side_streaming<S: ComparisonSummary<Item>>(
     if miss_tags.len() != miss_pos.len() {
         return false;
     }
-    // Pass 3: patch the batched answers into their slots and memoize.
+    // Pass 3: patch the batched answers into their slots and cache them.
     for ((&pos, mt), q) in miss_pos.iter().zip(miss_tags.iter()).zip(misses.iter()) {
         match (tags.get_mut(pos), mt) {
             (Some(slot), Some(t)) => {
                 *slot = *t;
-                if memoize {
-                    if let Some(id) = q.arena_id() {
-                        table.set(id, *t);
-                    }
+                if let Some(id) = q.arena_id() {
+                    cache.set(id, *t);
                 }
             }
             _ => return false,
@@ -955,44 +879,98 @@ mod tests {
         assert!(check_indistinguishable(&a, &b).is_err());
     }
 
+    /// Checkers under test: the default cache, and one- and four-slot
+    /// caches where almost every lookup collides or was evicted.
+    fn checkers() -> [EquivalenceChecker; 3] {
+        [
+            EquivalenceChecker::new(),
+            EquivalenceChecker::with_cache_capacity(1),
+            EquivalenceChecker::with_cache_capacity(4),
+        ]
+    }
+
     #[test]
     fn incremental_checker_matches_reference_as_streams_grow() {
-        let items = generate_increasing(&Interval::whole(), 30);
-        let mut a = StreamState::new(ExactSummary::new());
-        let mut b = StreamState::new(ExactSummary::new());
-        let mut chk = EquivalenceChecker::new();
-        for it in items {
-            a.push(it.clone());
-            b.push(it);
-            assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+        for mut chk in checkers() {
+            let items = generate_increasing(&Interval::whole(), 30);
+            let mut a = StreamState::new(ExactSummary::new());
+            let mut b = StreamState::new(ExactSummary::new());
+            for it in items {
+                a.push(it.clone());
+                b.push(it);
+                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+            }
         }
     }
 
     #[test]
     fn incremental_checker_reports_reference_diagnostics() {
-        let items = generate_increasing(&Interval::whole(), 8);
-        let mut a = StreamState::new(ExactSummary::new());
-        let mut b = StreamState::new(ExactSummary::new());
-        let mut chk = EquivalenceChecker::new();
-        // Same first four items, verified once to warm the memo.
-        for it in &items[..4] {
-            a.push(it.clone());
-            b.push(it.clone());
+        for mut chk in checkers() {
+            let items = generate_increasing(&Interval::whole(), 8);
+            let mut a = StreamState::new(ExactSummary::new());
+            let mut b = StreamState::new(ExactSummary::new());
+            // Same first four items, verified once to warm the cache.
+            for it in &items[..4] {
+                a.push(it.clone());
+                b.push(it.clone());
+            }
+            assert!(chk.check(&a, &b).is_ok());
+            // Diverge: the same two items arrive in swapped order, so
+            // the sorted arrays agree but positional correspondence
+            // breaks and the cached path must produce the exact
+            // reference diagnostics.
+            a.push(items[5].clone());
+            a.push(items[4].clone());
+            b.push(items[4].clone());
+            b.push(items[5].clone());
+            assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+            assert!(chk.check(&a, &b).is_err());
+            // After a fallback the caches stay and keep agreeing.
+            a.push(items[6].clone());
+            b.push(items[6].clone());
+            assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
         }
-        assert!(chk.check(&a, &b).is_ok());
-        // Diverge: the same two items arrive in swapped order, so the
-        // sorted arrays agree but positional correspondence breaks and
-        // the memoized path must produce the exact reference diagnostics.
-        a.push(items[5].clone());
-        a.push(items[4].clone());
-        b.push(items[4].clone());
-        b.push(items[5].clone());
-        assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
-        assert!(chk.check(&a, &b).is_err());
-        // After a fallback the memo restarts cold and keeps agreeing.
-        a.push(items[6].clone());
-        b.push(items[6].clone());
-        assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+    }
+
+    /// An implicit stream whose own index cache has `cap` slots.
+    fn implicit_state(cap: usize) -> StreamState<ExactSummary<Item>> {
+        let mut st = StreamState::with_repr(ExactSummary::new(), StreamRepr::Implicit);
+        st.order = OrderIndex::Implicit(ImplicitOrder::with_cache_capacity(cap));
+        st
+    }
+
+    #[test]
+    fn incremental_checker_matches_reference_on_implicit_streams() {
+        for cap in [1, 4, 1 << 10] {
+            for mut chk in checkers() {
+                // Both streams refine the same way: a root run, then a
+                // run inside a gap of it, then one above its maximum.
+                // ϱ's second run lands one gap higher, so from then on
+                // the arrays keep their size but disagree on arrival
+                // positions.
+                let mut a = implicit_state(cap);
+                let mut b = implicit_state(cap);
+                let whole = Interval::whole();
+                let root = generate_increasing(&whole, 16);
+                a.push_run_in(&whole, &root);
+                b.push_run_in(&whole, &root);
+                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+                assert!(chk.check(&a, &b).is_ok());
+                let iv = Interval::open(root[7].clone(), root[8].clone());
+                let inner = generate_increasing(&iv, 8);
+                a.push_run_in(&iv, &inner);
+                b.push_run_in(&iv, &inner);
+                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+                assert!(chk.check(&a, &b).is_ok());
+                let top = Interval::new(Endpoint::Finite(root[15].clone()), Endpoint::PosInf);
+                let tail = generate_increasing(&top, 4);
+                a.push_run_in(&top, &tail);
+                let shifted = Interval::open(root[8].clone(), root[9].clone());
+                b.push_run_in(&shifted, &generate_increasing(&shifted, 4));
+                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
+                assert!(chk.check(&a, &b).is_err());
+            }
+        }
     }
 
     #[test]

@@ -51,18 +51,21 @@ struct Node<T> {
 }
 
 /// Where a point query landed: the virtual count strictly left of the
-/// probe's fragment, the fragment containing it (if any), and the
-/// in-order neighbor fragments.
+/// probe's fragment, and the fragment containing it (if any).
 pub struct Locate<'a, T> {
     /// Virtual items in fragments wholly below the probe.
     pub before: u64,
     /// The fragment with `lo <= q <= hi`, if one exists.
     pub hit: Option<&'a Fragment<T>>,
-    /// Nearest fragment wholly below the probe (below `hit` when hit).
-    pub pred: Option<&'a Fragment<T>>,
-    /// Nearest fragment wholly above the probe (above `hit` when hit).
-    pub succ: Option<&'a Fragment<T>>,
 }
+
+impl<T> Clone for Locate<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Locate<'_, T> {}
 
 /// The fragment treap. See the module docs.
 pub struct RunTree<T> {
@@ -190,47 +193,70 @@ impl<T: Ord + Clone> RunTree<T> {
         taken
     }
 
-    /// Point query: finds the fragment containing `q` (closed range),
-    /// the virtual count strictly left of it, and the neighbor
-    /// fragments. When no fragment contains `q`, `before` counts every
-    /// virtual item in fragments below `q`.
+    /// Point query: finds the fragment containing `q` (closed range) and
+    /// the virtual count strictly left of it. When no fragment contains
+    /// `q`, `before` counts every virtual item in fragments below `q`.
     pub fn locate(&self, q: &T) -> Locate<'_, T> {
-        let mut before = 0u64;
+        locate_from(&self.nodes, self.root, q, 0)
+    }
+
+    /// Batched [`locate`](Self::locate): answers for every query of the
+    /// sorted slice `qs` in **one** tree walk, written into `out`
+    /// (cleared first; `out[i]` answers `qs[i]`).
+    ///
+    /// The queries partition at each node into those below the
+    /// fragment (descend left), those inside it (answered here), and
+    /// those above it (descend right with the count advanced), so
+    /// queries sharing a descent path share its comparisons — the
+    /// fragment-tree twin of `OsTree::multi_count_le`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `qs` is sorted non-decreasingly.
+    pub fn multi_locate<'a>(&'a self, qs: &[T], out: &mut Vec<Locate<'a, T>>) {
+        debug_assert!(
+            qs.iter().zip(qs.iter().skip(1)).all(|(a, b)| a <= b),
+            "multi_locate queries must be sorted"
+        );
+        out.clear();
+        out.resize(
+            qs.len(),
+            Locate {
+                before: 0,
+                hit: None,
+            },
+        );
+        multi_locate_walk(&self.nodes, self.root, qs, 0, out);
+    }
+
+    /// The lowest fragment lying wholly above `q` (`lo > q`).
+    pub fn first_above(&self, q: &T) -> Option<&Fragment<T>> {
         let mut link = self.root;
-        let mut pred = NIL;
-        let mut succ = NIL;
+        let mut best = NIL;
         while let Some(node) = self.node(link) {
             if *q < node.frag.lo {
-                succ = link;
+                best = link;
                 link = node.left;
-            } else if *q > node.frag.hi {
-                before += subtotal(&self.nodes, node.left) + node.frag.count;
-                pred = link;
-                link = node.right;
             } else {
-                before += subtotal(&self.nodes, node.left);
-                let p = rightmost(&self.nodes, node.left);
-                if p != NIL {
-                    pred = p;
-                }
-                let s = leftmost(&self.nodes, node.right);
-                if s != NIL {
-                    succ = s;
-                }
-                return Locate {
-                    before,
-                    hit: Some(&node.frag),
-                    pred: self.frag_at(pred),
-                    succ: self.frag_at(succ),
-                };
+                link = node.right;
             }
         }
-        Locate {
-            before,
-            hit: None,
-            pred: self.frag_at(pred),
-            succ: self.frag_at(succ),
+        self.frag_at(best)
+    }
+
+    /// The highest fragment lying wholly below `q` (`hi < q`).
+    pub fn last_below(&self, q: &T) -> Option<&Fragment<T>> {
+        let mut link = self.root;
+        let mut best = NIL;
+        while let Some(node) = self.node(link) {
+            if *q > node.frag.hi {
+                best = link;
+                link = node.right;
+            } else {
+                link = node.left;
+            }
         }
+        self.frag_at(best)
     }
 
     /// The fragment holding the virtual item of 0-based global rank `r`,
@@ -279,6 +305,88 @@ impl<T: Ord + Clone> RunTree<T> {
 #[inline]
 fn subtotal<T>(nodes: &[Node<T>], link: u32) -> u64 {
     nodes.get(link as usize).map_or(0, |n| n.subtotal)
+}
+
+/// The [`RunTree::locate`] descent from `link`, with `before` virtual
+/// items already counted to the subtree's left.
+fn locate_from<'a, T: Ord>(nodes: &'a [Node<T>], link: u32, q: &T, before: u64) -> Locate<'a, T> {
+    let mut before = before;
+    let mut n = nodes.get(link as usize);
+    while let Some(node) = n {
+        if *q < node.frag.lo {
+            n = nodes.get(node.left as usize);
+        } else if *q > node.frag.hi {
+            before += subtotal(nodes, node.left) + node.frag.count;
+            n = nodes.get(node.right as usize);
+        } else {
+            return Locate {
+                before: before + subtotal(nodes, node.left),
+                hit: Some(&node.frag),
+            };
+        }
+    }
+    Locate { before, hit: None }
+}
+
+/// Batched locate descent: `qs` (sorted) splits at each node into the
+/// prefix below the fragment (descends left with `before`), the run
+/// inside it (answered here), and the suffix above it (descends right
+/// with `before + |left| + count`); queries reaching an empty link have
+/// counted everything below them and hit nothing.
+fn multi_locate_walk<'a, T: Ord>(
+    nodes: &'a [Node<T>],
+    link: u32,
+    qs: &[T],
+    before: u64,
+    out: &mut [Locate<'a, T>],
+) {
+    if qs.is_empty() {
+        return;
+    }
+    if qs.len() == 1 {
+        // A lone query needs no more partitioning: finish with the
+        // plain `locate` descent loop.
+        if let (Some(q), Some(slot)) = (qs.first(), out.first_mut()) {
+            *slot = locate_from(nodes, link, q, before);
+        }
+        return;
+    }
+    match nodes.get(link as usize) {
+        None => out.fill(Locate { before, hit: None }),
+        Some(node) => {
+            // Clustered batches fall entirely on one side at most nodes
+            // of the shared descent path; probing the sorted slice's
+            // endpoints first answers those nodes with one comparison
+            // instead of two partition scans (mirrors `OsTree`'s
+            // `multi_count`).
+            let below = if qs.last().is_some_and(|q| *q < node.frag.lo) {
+                qs.len()
+            } else if qs.first().is_some_and(|q| *q >= node.frag.lo) {
+                0
+            } else {
+                qs.partition_point(|q| *q < node.frag.lo)
+            };
+            let (ql, rest) = qs.split_at(below);
+            let inside = if rest.first().is_some_and(|q| *q > node.frag.hi) {
+                0
+            } else if rest.last().is_some_and(|q| *q <= node.frag.hi) {
+                rest.len()
+            } else {
+                rest.partition_point(|q| *q <= node.frag.hi)
+            };
+            let (qin, qr) = rest.split_at(inside);
+            let (ol, orest) = out.split_at_mut(ql.len());
+            let (oin, or) = orest.split_at_mut(qin.len());
+            let left_total = subtotal(nodes, node.left);
+            multi_locate_walk(nodes, node.left, ql, before, ol);
+            oin.fill(Locate {
+                before: before + left_total,
+                hit: Some(&node.frag),
+            });
+            let past = before + left_total + node.frag.count;
+            multi_locate_walk(nodes, node.right, qr, past, or);
+        }
+    }
 }
 
 fn leftmost<T>(nodes: &[Node<T>], mut link: u32) -> u32 {
@@ -440,6 +548,28 @@ mod tests {
         }
     }
 
+    /// Runs the sorted probes `qs` through [`RunTree::multi_locate`] as
+    /// one whole batch, as sub-batches, and as single-query batches, and
+    /// checks every answer against the model's `(before, hit)`.
+    fn check_multi_locate(t: &RunTree<u64>, model: &[Fragment<u64>], qs: &[u64]) {
+        let mut out = Vec::new();
+        for chunk in [qs.len().max(1), 7, 1] {
+            for batch in qs.chunks(chunk) {
+                t.multi_locate(batch, &mut out);
+                assert_eq!(out.len(), batch.len());
+                for (q, l) in batch.iter().zip(&out) {
+                    let (before, hit) = model_locate(model, *q);
+                    assert_eq!(l.before, before, "batched before diverged at {q}");
+                    assert_eq!(
+                        l.hit.map(|f| f.lo),
+                        hit.map(|i| model[i].lo),
+                        "batched hit diverged at {q}"
+                    );
+                }
+            }
+        }
+    }
+
     fn build(frags: &[Fragment<u64>]) -> RunTree<u64> {
         let mut t = RunTree::new();
         for f in frags {
@@ -459,7 +589,12 @@ mod tests {
         assert!(t.last().is_none());
         let l = t.locate(&5);
         assert_eq!(l.before, 0);
-        assert!(l.hit.is_none() && l.pred.is_none() && l.succ.is_none());
+        assert!(l.hit.is_none());
+        assert!(t.first_above(&5).is_none() && t.last_below(&5).is_none());
+        check_multi_locate(&t, &[], &[0, 5, 5, 9]);
+        let mut out = Vec::new();
+        t.multi_locate(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -492,24 +627,25 @@ mod tests {
                 "hit diverged at {q}"
             );
             // Neighbor fragments: nearest wholly-below / wholly-above.
-            let pred = model
-                .iter()
-                .rev()
-                .find(|f| f.hi < q || (hit.is_some() && f.hi < model[hit.unwrap()].lo));
-            let succ = model
-                .iter()
-                .find(|f| f.lo > q || (hit.is_some() && f.lo > model[hit.unwrap()].hi));
+            let pred = model.iter().rev().find(|f| f.hi < q);
+            let succ = model.iter().find(|f| f.lo > q);
             assert_eq!(
-                l.pred.map(|f| f.run),
+                t.last_below(&q).map(|f| f.run),
                 pred.map(|f| f.run),
                 "pred diverged at {q}"
             );
             assert_eq!(
-                l.succ.map(|f| f.run),
+                t.first_above(&q).map(|f| f.run),
                 succ.map(|f| f.run),
                 "succ diverged at {q}"
             );
         }
+        // The same sweep as sorted batches through the batched walk,
+        // with repeated probes mixed in.
+        let sweep: Vec<u64> = (0..=110u64).collect();
+        check_multi_locate(&t, &model, &sweep);
+        let dup: Vec<u64> = (0..=110u64).flat_map(|q| [q, q]).collect();
+        check_multi_locate(&t, &model, &dup);
         // Select: walk the model's virtual items in order.
         let mut r = 0u64;
         for f in &model {
@@ -579,8 +715,9 @@ mod tests {
     #[test]
     fn many_single_item_fragments_behave_like_a_plain_tree() {
         let mut t = RunTree::new();
-        for i in 0..1000u64 {
-            t.insert_fragment(frag(i * 2, i * 2, 1, 0, i));
+        let model: Vec<Fragment<u64>> = (0..1000u64).map(|i| frag(i * 2, i * 2, 1, 0, i)).collect();
+        for f in &model {
+            t.insert_fragment(f.clone());
         }
         assert_eq!(t.virtual_len(), 1000);
         for i in 0..1000u64 {
@@ -594,7 +731,10 @@ mod tests {
         let l = t.locate(&501);
         assert!(l.hit.is_none());
         assert_eq!(l.before, 251);
-        assert_eq!(l.pred.unwrap().lo, 500);
-        assert_eq!(l.succ.unwrap().lo, 502);
+        assert_eq!(t.last_below(&501).unwrap().lo, 500);
+        assert_eq!(t.first_above(&501).unwrap().lo, 502);
+        // Every even and odd probe, past both ends, in sorted batches.
+        let sweep: Vec<u64> = (0..=2001u64).collect();
+        check_multi_locate(&t, &model, &sweep);
     }
 }

@@ -16,6 +16,8 @@
 //!   [`count_le`](RunGenerator::count_le) — how many run labels compare
 //!   below a probe, and
 //! * [`index_of`](RunGenerator::index_of) — the index of an exact label,
+//!   and [`position`](RunGenerator::position) — both answers from one
+//!   descent,
 //!
 //! each in O(log n) midpoint computations, by descending the same
 //! subdivision the minting walk performed. Every answer is
@@ -131,35 +133,31 @@ impl RunGenerator {
     /// `q`. The probe may be any byte string, inside the interval or
     /// not.
     pub fn count_less(&self, q: &[u8]) -> u64 {
-        match self.descend(q) {
-            Descent::Hit(idx) => idx,
-            Descent::Miss(below) => below,
-        }
+        self.position(q).unwrap_or_else(|below| below)
     }
 
     /// How many of the run's virtual items have labels `<= q`.
     pub fn count_le(&self, q: &[u8]) -> u64 {
-        match self.descend(q) {
-            Descent::Hit(idx) => idx + 1,
-            Descent::Miss(below) => below,
-        }
+        self.position(q).map_or_else(|below| below, |idx| idx + 1)
     }
 
     /// The in-run index of the virtual item with label exactly `q`, if
     /// the run contains one.
     pub fn index_of(&self, q: &[u8]) -> Option<u64> {
-        match self.descend(q) {
-            Descent::Hit(idx) => Some(idx),
-            Descent::Miss(_) => None,
-        }
+        self.position(q).ok()
     }
 
-    /// Shared descent of the point queries. At each level the probe is
-    /// compared against the level's midpoint label: an equal probe *is*
-    /// the level's emitted label (in-run index = accumulated left count
-    /// plus the left half's size), smaller probes descend left, larger
-    /// descend right accumulating the left half plus the midpoint.
-    fn descend(&self, q: &[u8]) -> Descent {
+    /// Where `q` falls in the run, in the shape of
+    /// [`slice::binary_search`]: `Ok(index)` when a run label equals
+    /// `q`, else `Err(number of run labels below q)` — membership and
+    /// rank from one descent.
+    ///
+    /// The descent compares the probe against each level's midpoint
+    /// label: an equal probe *is* the level's emitted label (in-run index
+    /// = accumulated left count plus the left half's size), smaller
+    /// probes descend left, larger descend right accumulating the left
+    /// half plus the midpoint.
+    pub fn position(&self, q: &[u8]) -> Result<u64, u64> {
         let mut lo: Option<Vec<u8>> = self.lo.as_ref().map(|i| i.label().to_vec());
         let mut hi: Option<Vec<u8>> = self.hi.as_ref().map(|i| i.label().to_vec());
         let mut n = self.count;
@@ -169,7 +167,7 @@ impl RunGenerator {
             let m = n / 2;
             between_labels_into(lo.as_deref(), hi.as_deref(), &mut mid);
             match q.cmp(mid.as_slice()) {
-                std::cmp::Ordering::Equal => return Descent::Hit(acc + m),
+                std::cmp::Ordering::Equal => return Ok(acc + m),
                 std::cmp::Ordering::Less => {
                     hi = Some(std::mem::take(&mut mid));
                     n = m;
@@ -181,15 +179,8 @@ impl RunGenerator {
                 }
             }
         }
-        Descent::Miss(acc)
+        Err(acc)
     }
-}
-
-/// Where a point-query descent ended: exactly on the virtual item at
-/// an in-run index, or between items with `Miss(number of items below)`.
-enum Descent {
-    Hit(u64),
-    Miss(u64),
 }
 
 impl std::fmt::Debug for RunGenerator {
@@ -218,6 +209,7 @@ mod tests {
                 "label_at({j}) diverged from materialized run"
             );
             assert_eq!(gen.index_of(it.label()), Some(j as u64));
+            assert_eq!(gen.position(it.label()), Ok(j as u64));
             assert_eq!(gen.count_less(it.label()), j as u64);
             assert_eq!(gen.count_le(it.label()), j as u64 + 1);
             assert_eq!(gen.item_at(j as u64), *it);
@@ -229,6 +221,7 @@ mod tests {
             assert_eq!(gen.count_less(&probe), r);
             assert_eq!(gen.count_le(&probe), r);
             assert_eq!(gen.index_of(&probe), None);
+            assert_eq!(gen.position(&probe), Err(r));
         }
     }
 

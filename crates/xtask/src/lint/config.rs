@@ -133,6 +133,7 @@ pub const HOT_PATH_FNS: &[&str] = &[
     "multi_rank",
     "multi_select",
     "multi_tag_of",
+    "multi_locate",
 ];
 
 /// Entry points of the panic-free adversary driver — the *roots* of the
@@ -210,6 +211,7 @@ pub const COMMON_METHOD_NAMES: &[&str] = &[
     "next",
     "partial_cmp",
     "pop",
+    "position",
     "push",
     "push_str",
     "remove",
@@ -327,6 +329,7 @@ mod tests {
             "multi_rank",
             "multi_select",
             "multi_tag_of",
+            "multi_locate",
         ] {
             assert!(HOT_PATH_FNS.contains(&f), "{f} missing from hot-path roots");
         }

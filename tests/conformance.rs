@@ -81,3 +81,68 @@ fn every_summary_crate_holds_a_purity_certificate() {
     // concrete u64 keys, outside Definition 2.1 — the paper's contrast.
     assert_eq!(status("qdigest"), CertStatus::Refused);
 }
+
+/// The quoted entries of the root manifest's `key = [...]` array in its
+/// `[workspace]` table (one-line arrays, as the manifest writes them).
+fn workspace_array(manifest: &str, key: &str) -> Vec<String> {
+    let table = format!("\n{manifest}")
+        .split("\n[")
+        .find(|t| t.starts_with("workspace]"))
+        .map(String::from)
+        .expect("root manifest has a [workspace] table");
+    let line = table
+        .lines()
+        .find(|l| l.split('=').next().map(str::trim) == Some(key))
+        .unwrap_or_else(|| panic!("[workspace] has no `{key}`"));
+    line.split('"')
+        .skip(1)
+        .step_by(2)
+        .map(String::from)
+        .collect()
+}
+
+/// Member directories a workspace pattern names: `dir/*` expands to
+/// every subdirectory holding a `Cargo.toml`, anything else is literal.
+fn expand_members(root: &std::path::Path, patterns: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    for p in patterns {
+        match p.strip_suffix("/*") {
+            Some(dir) => {
+                for entry in std::fs::read_dir(root.join(dir)).expect("member dir readable") {
+                    let path = entry.expect("dir entry").path();
+                    if path.join("Cargo.toml").is_file() {
+                        let name = path.file_name().expect("named").to_string_lossy();
+                        out.push(format!("{dir}/{name}"));
+                    }
+                }
+            }
+            None => out.push(p.clone()),
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn every_workspace_member_is_a_default_member() {
+    // Tier-1 runs `cargo test` at the root, which tests the default
+    // members only; a member missing here would have its tests silently
+    // skipped by the gate.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = expand_members(&root, &workspace_array(&manifest, "members"));
+    let defaults = expand_members(&root, &workspace_array(&manifest, "default-members"));
+    assert!(
+        members.len() > 10,
+        "found only {members:?} — layout changed?"
+    );
+    let missing: Vec<&String> = members.iter().filter(|m| !defaults.contains(m)).collect();
+    assert!(
+        missing.is_empty(),
+        "workspace members outside default-members (their tests skip tier-1): {missing:?}"
+    );
+    assert!(
+        defaults.iter().any(|d| d == "."),
+        "the root package must stay a default member"
+    );
+}
