@@ -207,6 +207,12 @@ if [[ $fast -eq 0 ]]; then
 
     echo "==> sharded-service smoke (cqs service, threads 1 & 4, export byte-diff)"
     service_smoke
+
+    # The benchmark package (perfbench/, its own workspace) links the
+    # crates by path; nothing above compiles it, so an API change that
+    # breaks the benchmark would otherwise surface only in a benchmark run.
+    echo "==> benchmark smoke (cargo test --manifest-path perfbench/Cargo.toml)"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
 fi
 
 echo "ci: all green"

@@ -4,8 +4,7 @@
 //! # cqs-bench — experiment harness
 //!
 //! Shared plumbing for the experiment binaries (`src/bin/*.rs`), one per
-//! figure/theorem of the paper (see DESIGN.md's per-experiment index),
-//! and for the std-only micro-benchmarks in `benches/` (see [`micro`]).
+//! figure/theorem of the paper (see DESIGN.md's per-experiment index).
 //!
 //! Every binary prints an aligned table and mirrors it to
 //! `results/<experiment>.csv` at the workspace root, so
@@ -15,7 +14,6 @@
 pub mod checkpoint;
 pub mod exec;
 pub mod json;
-pub mod micro;
 pub mod sweeps;
 
 use std::path::PathBuf;

@@ -419,47 +419,6 @@ impl<T: Ord + Clone> RankEstimator<T> for CkmsSummary<T> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn invariant_and_mass_on_random_streams(xs in proptest::collection::vec(0u32..50_000, 1..1200)) {
-            let mut ck = CkmsSummary::new(0.05);
-            for &x in &xs {
-                ck.insert(x);
-            }
-            prop_assert!(ck.invariant_holds());
-            let mass: u64 = ck.tuples().iter().map(|t| t.g).sum();
-            prop_assert_eq!(mass, xs.len() as u64);
-        }
-
-        #[test]
-        fn biased_budget_respected_at_sampled_ranks(xs in proptest::collection::vec(0u32..10_000, 500..2500)) {
-            let eps = 0.05;
-            let mut ck = CkmsSummary::new(eps);
-            let mut sorted = xs.clone();
-            for &x in &xs {
-                ck.insert(x);
-            }
-            sorted.sort_unstable();
-            let n = xs.len() as u64;
-            for &frac in &[0.02f64, 0.1, 0.5, 0.9] {
-                let r = ((frac * n as f64) as u64).max(1);
-                let ans = ck.query_rank(r).unwrap();
-                let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
-                let hi = sorted.partition_point(|&v| v <= ans) as u64;
-                let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                let budget = ((2.0 * eps * r as f64).ceil() as u64).max(3);
-                prop_assert!(err <= budget, "rank {r}: err {err} > {budget}");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,5 +581,68 @@ mod tests {
         let ck: CkmsSummary<u64> = CkmsSummary::new(0.1);
         assert_eq!(ck.quantile(0.5), None);
         assert_eq!(ck.estimate_rank(&1), 0);
+    }
+}
+
+/// Properties over seeded random streams: every case draws from a
+/// fixed-seed SplitMix64, so a failure replays exactly.
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use cqs_core::rng::SplitMix64;
+
+    /// A stream of `len_lo..len_hi` values drawn from `0..max`.
+    fn random_stream(rng: &mut SplitMix64, len_lo: u64, len_hi: u64, max: u64) -> Vec<u64> {
+        let len = len_lo + rng.below(len_hi - len_lo);
+        (0..len).map(|_| rng.below(max)).collect()
+    }
+
+    /// Distance from target rank `r` to the true rank range of `ans` in
+    /// the multiset `sorted`.
+    fn rank_error(sorted: &[u64], ans: u64, r: u64) -> u64 {
+        let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
+        let hi = sorted.partition_point(|&v| v <= ans) as u64;
+        if r < lo {
+            lo - r
+        } else {
+            r.saturating_sub(hi)
+        }
+    }
+
+    #[test]
+    fn invariant_and_mass_on_random_streams() {
+        let mut rng = SplitMix64::new(0xc1);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 1, 1200, 50_000);
+            let mut ck = CkmsSummary::new(0.05);
+            for &x in &xs {
+                ck.insert(x);
+            }
+            assert!(ck.invariant_holds());
+            let mass: u64 = ck.tuples().iter().map(|t| t.g).sum();
+            assert_eq!(mass, xs.len() as u64);
+        }
+    }
+
+    #[test]
+    fn biased_budget_respected_at_sampled_ranks() {
+        let mut rng = SplitMix64::new(0xc2);
+        let eps = 0.05;
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 500, 2500, 10_000);
+            let mut ck = CkmsSummary::new(eps);
+            for &x in &xs {
+                ck.insert(x);
+            }
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            let n = xs.len() as u64;
+            for frac in [0.02f64, 0.1, 0.5, 0.9] {
+                let r = ((frac * n as f64) as u64).max(1);
+                let err = rank_error(&sorted, ck.query_rank(r).expect("non-empty"), r);
+                let budget = ((2.0 * eps * r as f64).ceil() as u64).max(3);
+                assert!(err <= budget, "rank {r}: err {err} > {budget}");
+            }
+        }
     }
 }

@@ -34,26 +34,6 @@ pub struct GapInfo {
     pub restricted_len: usize,
 }
 
-/// Computes the largest gap between the two summaries' restricted item
-/// arrays in the given intervals (Definition 5.1; with whole-universe
-/// intervals this is Definition 3.3's `gap(π, ϱ)` under the
-/// construction's rank-ordering guarantee).
-///
-/// # Panics
-///
-/// Panics if the restricted arrays differ in length (that would mean the
-/// streams are distinguishable — the paper proves they cannot be, so for
-/// a conforming summary this indicates a model violation) or have fewer
-/// than two entries.
-pub fn compute_gap<S: ComparisonSummary<Item>>(
-    pi: &StreamState<S>,
-    rho: &StreamState<S>,
-    iv_pi: &Interval,
-    iv_rho: &Interval,
-) -> GapInfo {
-    compute_gap_tie(pi, rho, iv_pi, iv_rho, TieBreak::LowestIndex)
-}
-
 /// How the argmax over equal largest gaps is resolved — the paper notes
 /// "ties can be broken arbitrarily", so any policy yields a valid
 /// construction; the ablation benches measure whether the choice
@@ -67,19 +47,30 @@ pub enum TieBreak {
     HighestIndex,
 }
 
-/// [`compute_gap`] with an explicit tie-breaking policy.
+/// Computes the largest gap between the two summaries' restricted item
+/// arrays in the given intervals (Definition 5.1; with whole-universe
+/// intervals this is Definition 3.3's `gap(π, ϱ)` under the
+/// construction's rank-ordering guarantee), keeping the lowest-index
+/// maximum.
 ///
 /// Allocates one fresh rank scratch; the adversary's hot loop passes a
-/// reusable one to [`compute_gap_scratch`] instead.
-pub fn compute_gap_tie<S: ComparisonSummary<Item>>(
+/// reusable one (and its tie-breaking policy) to
+/// [`compute_gap_scratch`] instead.
+///
+/// # Panics
+///
+/// Panics if the restricted arrays differ in length (that would mean the
+/// streams are distinguishable — the paper proves they cannot be, so for
+/// a conforming summary this indicates a model violation) or have fewer
+/// than two entries.
+pub fn compute_gap<S: ComparisonSummary<Item>>(
     pi: &StreamState<S>,
     rho: &StreamState<S>,
     iv_pi: &Interval,
     iv_rho: &Interval,
-    tie: TieBreak,
 ) -> GapInfo {
     let mut scratch = GapScratch::default();
-    compute_gap_scratch(pi, rho, iv_pi, iv_rho, tie, &mut scratch)
+    compute_gap_scratch(pi, rho, iv_pi, iv_rho, TieBreak::LowestIndex, &mut scratch)
 }
 
 /// Reusable buffers for the gap scan: both sides' restricted ranks and
@@ -95,7 +86,8 @@ pub struct GapScratch {
     les: Vec<usize>,
 }
 
-/// [`compute_gap_tie`] against a caller-owned [`GapScratch`].
+/// [`compute_gap`] with an explicit tie-breaking policy, against a
+/// caller-owned [`GapScratch`].
 ///
 /// One batched treap walk per side
 /// ([`StreamState::restricted_ranks_inside`]) produces the full

@@ -232,8 +232,8 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     pub fn push(&mut self, item: Item) {
         let OrderIndex::Materialized(order) = &mut self.order else {
             // Per-item appends carry no interval, which the implicit
-            // index needs to register a run; the adversary rejects
-            // per-item insertion mode on implicit streams up front.
+            // index needs to register a run; the adversary grows implicit
+            // streams through `push_run_in`/`index_run_in` only.
             panic!("per-item push requires a materialized stream");
         };
         self.max_label_depth = self.max_label_depth.max(item.depth());
@@ -246,34 +246,24 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         self.n += 1;
     }
 
-    /// Appends a strictly increasing run of fresh items whose closed span
-    /// `[run[0], run[last]]` contains no existing stream item — exactly
-    /// the situation at every adversary leaf, where the current interval
-    /// was refined to be empty of stream items. Returns the largest `|I|`
-    /// the summary reported at any point of the run (cf.
+    /// Appends a strictly increasing run of fresh items, minted inside
+    /// the open interval `iv`, whose closed span `[run[0], run[last]]`
+    /// contains no existing stream item — exactly the situation at every
+    /// adversary leaf, where the current interval was refined to be
+    /// empty of stream items. Returns the largest `|I|` the summary
+    /// reported at any point of the run (cf.
     /// [`ComparisonSummary::insert_sorted_run`]).
     ///
-    /// Equivalent to calling [`push`](Self::push) per item, but the treap
-    /// side costs one bulk join instead of |run| descents.
+    /// Works in both stream representations: a materialized stream
+    /// indexes the items directly in one bulk join instead of |run|
+    /// descents (the interval is redundant there); an implicit stream
+    /// registers the interval's run generator and fragments instead of
+    /// the items. Equivalent to calling [`push`](Self::push) per item.
     ///
     /// # Panics
     ///
     /// Panics (with the same "distinct" diagnostic as `push`) if the run
     /// is not strictly increasing or its span overlaps existing items.
-    pub fn push_run(&mut self, run: &[Item]) -> usize {
-        self.index_run(run);
-        let peak = self.summary.insert_sorted_run(run);
-        self.n += run.len() as u64;
-        peak
-    }
-
-    /// [`push_run`](Self::push_run) for a run minted inside the open
-    /// interval `iv` — the entry point that works in **both** stream
-    /// representations. A materialized stream indexes the items
-    /// directly (the interval is redundant there); an implicit stream
-    /// registers the interval's run generator and fragments instead of
-    /// the items. Validity requirements and return value match
-    /// [`push_run`](Self::push_run).
     pub fn push_run_in(&mut self, iv: &Interval, run: &[Item]) -> usize {
         self.index_run_in(iv, run);
         let peak = self.summary.insert_sorted_run(run);
@@ -281,34 +271,18 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         peak
     }
 
-    /// Indexes a strictly increasing run of fresh items in the
-    /// order-statistic treap *without* feeding the summary or advancing
-    /// the stream length — the first half of [`push`](Self::push), split
-    /// out for the panic-free driver: the treap must know the items
-    /// before any summary call so that, when the summary panics mid-run,
+    /// Indexes a run minted inside `iv` in the order-statistic index
+    /// *without* feeding the summary or advancing the stream length —
+    /// the first half of [`push_run_in`](Self::push_run_in), split out
+    /// for the panic-free driver: the index must know the items before
+    /// any summary call so that, when the summary panics mid-run,
     /// rank/next/prev queries for the partial audit trail stay coherent.
     /// Follow up with [`feed_summary`](Self::feed_summary) per item.
     ///
     /// # Panics
     ///
-    /// Same validity requirements as [`push_run`](Self::push_run).
-    pub fn index_run(&mut self, run: &[Item]) {
-        self.validate_run(run);
-        let OrderIndex::Materialized(order) = &mut self.order else {
-            panic!("index_run requires a materialized stream; use index_run_in");
-        };
-        let start = self.n;
-        order.extend_sorted_tagged(run.iter().cloned().zip(start..));
-    }
-
-    /// [`index_run`](Self::index_run) for a run minted inside `iv`,
-    /// working in both representations (see
-    /// [`push_run_in`](Self::push_run_in)).
-    ///
-    /// # Panics
-    ///
-    /// Same validity requirements as [`push_run`](Self::push_run); on
-    /// an implicit stream additionally panics if the run-id space is
+    /// Same validity requirements as [`push_run_in`](Self::push_run_in);
+    /// on an implicit stream additionally panics if the run-id space is
     /// exhausted (callers on the panic-free driver path check
     /// [`runs_exhausted`](Self::runs_exhausted) first).
     pub fn index_run_in(&mut self, iv: &Interval, run: &[Item]) {
@@ -356,10 +330,11 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         }
     }
 
-    /// Feeds one item (already indexed via [`index_run`](Self::index_run))
-    /// to the summary and advances the stream length. The caller is
-    /// responsible for feeding items in the same order they were indexed;
-    /// the arrival tags assigned by `index_run` assume it.
+    /// Feeds one item (already indexed via
+    /// [`index_run_in`](Self::index_run_in)) to the summary and advances
+    /// the stream length. The caller is responsible for feeding items in
+    /// the same order they were indexed; the arrival tags assigned by
+    /// `index_run_in` assume it.
     pub fn feed_summary(&mut self, item: Item) {
         self.summary.insert(item);
         self.n += 1;
@@ -468,54 +443,16 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         }
     }
 
-    /// [`rank_in`](Self::rank_in) for a finite item without wrapping it
-    /// in an [`Endpoint`] — the shape the gap scan iterates in, sparing
-    /// an `Arc` clone per visited item.
-    pub fn rank_in_item(&self, iv: &Interval, it: &Item) -> u64 {
-        self.rank_in_item_from(iv, self.rank_base(iv), it)
-    }
-
-    /// The interval-lo data that [`rank_in_item`](Self::rank_in_item)
-    /// recomputes per call: whether `lo` is finite, and `count_le(lo)`.
-    /// Callers ranking many items within one interval hoist this once
-    /// and use [`rank_in_item_from`](Self::rank_in_item_from), halving
-    /// the treap descents of the scan.
-    pub fn rank_base(&self, iv: &Interval) -> (bool, u64) {
-        match iv.lo() {
-            Endpoint::NegInf => (false, 0),
-            Endpoint::Finite(l) => (true, self.order.count_le(l)),
-            // Interval construction forbids a +inf lower endpoint. (No
-            // lint suppression here: since the fused rank_in_item_from
-            // took over the gap scan, no driver root reaches this.)
-            Endpoint::PosInf => unreachable!("interval lo cannot be +inf"),
-        }
-    }
-
-    /// [`rank_in_item`](Self::rank_in_item) with the interval-lo work
-    /// precomputed by [`rank_base`](Self::rank_base) — one treap descent
-    /// per item instead of two.
-    pub fn rank_in_item_from(&self, iv: &Interval, base: (bool, u64), it: &Item) -> u64 {
-        debug_assert!(
-            iv.lo().cmp_item(it).is_le() && iv.hi().cmp_item(it).is_ge(),
-            "rank_in item outside interval"
-        );
-        let (lo_finite, base) = base;
-        let le = self.order.count_le(it);
-        (lo_finite as u64) + le.saturating_sub(base)
-    }
-
-    /// Batched [`rank_in_item_from`](Self::rank_in_item_from) over the
-    /// whole restricted item array: fills `out` with the Definition 5.1
-    /// rank sequence
+    /// Batched [`rank_in`](Self::rank_in) over the whole restricted item
+    /// array: fills `out` with the Definition 5.1 rank sequence
     /// `[rank(lo)] ++ [rank(it) for stored it inside iv] ++ [rank(hi)]`
     /// while collecting the enclosed restricted array — finite
     /// boundaries included — into `items` (O(1) arena clones). ALL ranks
     /// come from ONE batched treap walk ([`OsTree::multi_count_le`]):
     /// the finite boundaries ride along as the first/last queries (the
-    /// open interval keeps the batch sorted), so the per-call
-    /// `rank_base`/`rank_in` descents of the unfused version disappear,
-    /// and a +∞ high sentinel needs only the tree size. `les` is the
-    /// walk's count scratch.
+    /// open interval keeps the batch sorted), so no item pays a descent
+    /// of its own, and a +∞ high sentinel needs only the tree size.
+    /// `les` is the walk's count scratch.
     ///
     /// Returns the interior offset into `items`: `1` when the low
     /// boundary is finite (and therefore occupies `items[0]`), else `0`
@@ -608,13 +545,6 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
             _ => None,
         };
         self.summary.for_each_item_between(lo, hi, f);
-    }
-
-    /// Number of summary-stored items strictly inside `iv`.
-    pub fn stored_inside(&self, iv: &Interval) -> usize {
-        let mut count = 0usize;
-        self.for_each_stored_inside(iv, &mut |_| count += 1);
-        count
     }
 
     /// True rank error of answering rank-query `r` with item `x`:
@@ -862,7 +792,9 @@ mod tests {
         assert_eq!(arr.len(), 6);
         assert_eq!(arr[0], Endpoint::Finite(items[2].clone()));
         assert_eq!(arr[5], Endpoint::Finite(items[7].clone()));
-        assert_eq!(st.stored_inside(&iv), 4);
+        let mut inside = 0;
+        st.for_each_stored_inside(&iv, &mut |_| inside += 1);
+        assert_eq!(inside, 4);
     }
 
     #[test]
@@ -986,7 +918,7 @@ mod tests {
     fn push_run_matches_per_item_push() {
         let items = generate_increasing(&Interval::whole(), 24);
         let mut bulk = StreamState::new(ExactSummary::new());
-        bulk.push_run(&items);
+        bulk.push_run_in(&Interval::whole(), &items);
         let mut single = StreamState::new(ExactSummary::new());
         for it in items.clone() {
             single.push(it);
@@ -1006,7 +938,7 @@ mod tests {
         let items = generate_increasing(&Interval::whole(), 8);
         let depth = items.iter().map(|i| i.depth()).max().unwrap();
         let mut st = StreamState::new(ExactSummary::new());
-        let peak = st.push_run(&items);
+        let peak = st.push_run_in(&Interval::whole(), &items);
         assert_eq!(peak, 8, "exact summary peak is the run length");
         assert_eq!(st.max_label_depth(), depth);
     }
@@ -1018,7 +950,7 @@ mod tests {
         let mut st = StreamState::new(ExactSummary::new());
         st.push(items[1].clone());
         // The run's closed span [items[0], items[2]] contains items[1].
-        st.push_run(&[items[0].clone(), items[2].clone()]);
+        st.push_run_in(&Interval::whole(), &[items[0].clone(), items[2].clone()]);
     }
 
     #[test]
@@ -1026,6 +958,6 @@ mod tests {
     fn push_run_rejects_non_increasing_runs() {
         let items = generate_increasing(&Interval::whole(), 2);
         let mut st = StreamState::new(ExactSummary::new());
-        st.push_run(&[items[1].clone(), items[0].clone()]);
+        st.push_run_in(&Interval::whole(), &[items[1].clone(), items[0].clone()]);
     }
 }

@@ -309,53 +309,6 @@ impl<T: Ord + Clone> MergeableSummary<T> for GreedyGk<T> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn greedy_invariant_and_mass_on_random_streams(
-            xs in proptest::collection::vec(0u32..100_000, 1..1500),
-        ) {
-            let mut gk = GreedyGk::new(0.03);
-            for &x in &xs {
-                gk.insert(x);
-            }
-            prop_assert!(gk.invariant_holds());
-            let mass: u64 = gk.tuples().iter().map(|t| t.g).sum();
-            prop_assert_eq!(mass, xs.len() as u64);
-            let arr = gk.item_array();
-            prop_assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-        }
-
-        #[test]
-        fn greedy_quantiles_within_budget_on_random_streams(
-            xs in proptest::collection::vec(0u32..10_000, 200..2000),
-        ) {
-            let eps = 0.05;
-            let mut gk = GreedyGk::new(eps);
-            let mut sorted = xs.clone();
-            for &x in &xs {
-                gk.insert(x);
-            }
-            sorted.sort_unstable();
-            let n = xs.len() as u64;
-            let budget = (eps * n as f64).floor() as u64 + 1;
-            for step in 1..=8u64 {
-                let r = (step * n / 8).max(1);
-                let ans = gk.query_rank(r).unwrap();
-                let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
-                let hi = sorted.partition_point(|&v| v <= ans) as u64;
-                let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(err <= budget, "rank {r}: err {err}");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

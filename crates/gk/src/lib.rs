@@ -263,3 +263,95 @@ mod tests {
         assert_eq!(gk.estimate_rank(&5), 0);
     }
 }
+
+/// Properties over seeded random streams: every case draws from a
+/// fixed-seed SplitMix64, so a failure replays exactly.
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use cqs_core::rng::SplitMix64;
+    use cqs_core::ComparisonSummary;
+
+    /// A stream of `len_lo..len_hi` values drawn from `0..max`.
+    fn random_stream(rng: &mut SplitMix64, len_lo: u64, len_hi: u64, max: u64) -> Vec<u64> {
+        let len = len_lo + rng.below(len_hi - len_lo);
+        (0..len).map(|_| rng.below(max)).collect()
+    }
+
+    /// Distance from target rank `r` to the true rank range of `ans` in
+    /// the multiset `sorted`.
+    fn rank_error(sorted: &[u64], ans: u64, r: u64) -> u64 {
+        let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
+        let hi = sorted.partition_point(|&v| v <= ans) as u64;
+        if r < lo {
+            lo - r
+        } else {
+            r.saturating_sub(hi)
+        }
+    }
+
+    /// Every rank query on the grid `n/steps, 2n/steps, ..` lands within
+    /// ⌊εn⌋ + 1 of its target on random multisets.
+    fn assert_rank_budget<S: ComparisonSummary<u64>>(make: impl Fn() -> S, eps: f64, steps: u64) {
+        let mut rng = SplitMix64::new(0x6b5e);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 200, 2000, 10_000);
+            let mut s = make();
+            for &x in &xs {
+                s.insert(x);
+            }
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            let n = xs.len() as u64;
+            let budget = (eps * n as f64).floor() as u64 + 1;
+            for step in 1..=steps {
+                let r = (step * n / steps).max(1);
+                let ans = s.query_rank(r).expect("non-empty");
+                let err = rank_error(&sorted, ans, r);
+                assert!(err <= budget, "rank {r}: answer {ans} err {err} > {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn gk_rank_errors_bounded() {
+        assert_rank_budget(|| GkSummary::new(0.05), 0.05, 10);
+    }
+
+    #[test]
+    fn gk_invariant_on_random_streams() {
+        let mut rng = SplitMix64::new(0x91);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 1, 500, 1_000_000);
+            let mut gk = GkSummary::new(0.02);
+            for &x in &xs {
+                gk.insert(x);
+                assert!(gk.invariant_holds());
+            }
+            let mass: u64 = gk.tuples().iter().map(|t| t.g).sum();
+            assert_eq!(mass, xs.len() as u64);
+        }
+    }
+
+    #[test]
+    fn greedy_invariant_and_mass_on_random_streams() {
+        let mut rng = SplitMix64::new(0x92);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 1, 1500, 100_000);
+            let mut gk = GreedyGk::new(0.03);
+            for &x in &xs {
+                gk.insert(x);
+            }
+            assert!(gk.invariant_holds());
+            let mass: u64 = gk.tuples().iter().map(|t| t.g).sum();
+            assert_eq!(mass, xs.len() as u64);
+            let arr = gk.item_array();
+            assert!(arr.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
+    fn greedy_quantiles_within_budget_on_random_streams() {
+        assert_rank_budget(|| GreedyGk::new(0.05), 0.05, 8);
+    }
+}

@@ -505,45 +505,3 @@ mod tests {
         assert!(arr.windows(2).all(|w| w[0] <= w[1]));
     }
 }
-
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn gk_rank_errors_bounded(xs in proptest::collection::vec(0u32..10_000, 100..2000)) {
-            let eps = 0.05;
-            let mut gk = GkSummary::new(eps);
-            let mut sorted = xs.clone();
-            for &x in &xs {
-                gk.insert(x);
-            }
-            sorted.sort_unstable();
-            let n = xs.len() as u64;
-            let budget = (eps * n as f64).floor() as u64 + 1;
-            for step in 1..=10u64 {
-                let r = (step * n / 10).max(1);
-                let ans = gk.query_rank(r).unwrap();
-                // True rank range of `ans` in the multiset.
-                let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
-                let hi = sorted.partition_point(|&v| v <= ans) as u64;
-                let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(err <= budget, "rank {r}: answer {ans} err {err} > {budget}");
-            }
-        }
-
-        #[test]
-        fn gk_invariant_on_random_streams(xs in proptest::collection::vec(0u64..1_000_000, 1..500)) {
-            let mut gk = GkSummary::new(0.02);
-            for &x in &xs {
-                gk.insert(x);
-                prop_assert!(gk.invariant_holds());
-            }
-            let mass: u64 = gk.tuples().iter().map(|t| t.g).sum();
-            prop_assert_eq!(mass, xs.len() as u64);
-        }
-    }
-}

@@ -405,46 +405,6 @@ impl<T: Ord + Clone> RankEstimator<T> for MrlSummary<T> {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn weight_conservation_on_random_streams(xs in proptest::collection::vec(0u64..100_000, 1..3000)) {
-            let mut mrl = MrlSummary::new(0.05, 3_000);
-            for &x in &xs {
-                mrl.insert(x);
-            }
-            prop_assert_eq!(mrl.total_weight(), xs.len() as u64);
-            prop_assert_eq!(mrl.items_processed(), xs.len() as u64);
-        }
-
-        #[test]
-        fn rank_queries_within_budget_on_random_streams(xs in proptest::collection::vec(0u32..10_000, 500..2500)) {
-            let eps = 0.05;
-            let mut mrl = MrlSummary::new(eps, 2_500);
-            let mut sorted = xs.clone();
-            for &x in &xs {
-                mrl.insert(x);
-            }
-            sorted.sort_unstable();
-            let n = xs.len() as u64;
-            let budget = (eps * n as f64).floor() as u64 + 1;
-            for step in 1..=8u64 {
-                let r = (step * n / 8).max(1);
-                let ans = mrl.query_rank(r).unwrap();
-                let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
-                let hi = sorted.partition_point(|&v| v <= ans) as u64;
-                let err = if r < lo { lo - r } else { r.saturating_sub(hi) };
-                prop_assert!(err <= budget, "rank {r}: err {err}");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,5 +529,67 @@ mod tests {
         let mrl: MrlSummary<u64> = MrlSummary::new(0.1, 100);
         assert_eq!(mrl.quantile(0.5), None);
         assert_eq!(mrl.stored_count(), 0);
+    }
+}
+
+/// Properties over seeded random streams: every case draws from a
+/// fixed-seed SplitMix64, so a failure replays exactly.
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use cqs_core::rng::SplitMix64;
+
+    /// A stream of `len_lo..len_hi` values drawn from `0..max`.
+    fn random_stream(rng: &mut SplitMix64, len_lo: u64, len_hi: u64, max: u64) -> Vec<u64> {
+        let len = len_lo + rng.below(len_hi - len_lo);
+        (0..len).map(|_| rng.below(max)).collect()
+    }
+
+    /// Distance from target rank `r` to the true rank range of `ans` in
+    /// the multiset `sorted`.
+    fn rank_error(sorted: &[u64], ans: u64, r: u64) -> u64 {
+        let lo = sorted.partition_point(|&v| v < ans) as u64 + 1;
+        let hi = sorted.partition_point(|&v| v <= ans) as u64;
+        if r < lo {
+            lo - r
+        } else {
+            r.saturating_sub(hi)
+        }
+    }
+
+    #[test]
+    fn weight_conservation_on_random_streams() {
+        let mut rng = SplitMix64::new(0x3a1);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 1, 3000, 100_000);
+            let mut mrl = MrlSummary::new(0.05, 3_000);
+            for &x in &xs {
+                mrl.insert(x);
+            }
+            assert_eq!(mrl.total_weight(), xs.len() as u64);
+            assert_eq!(mrl.items_processed(), xs.len() as u64);
+        }
+    }
+
+    #[test]
+    fn rank_queries_within_budget_on_random_streams() {
+        let mut rng = SplitMix64::new(0x3a2);
+        let eps = 0.05;
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 500, 2500, 10_000);
+            let mut mrl = MrlSummary::new(eps, 2_500);
+            for &x in &xs {
+                mrl.insert(x);
+            }
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            let n = xs.len() as u64;
+            let budget = (eps * n as f64).floor() as u64 + 1;
+            for step in 1..=8u64 {
+                let r = (step * n / 8).max(1);
+                let err = rank_error(&sorted, mrl.query_rank(r).expect("non-empty"), r);
+                assert!(err <= budget, "rank {r}: err {err}");
+            }
+        }
     }
 }

@@ -1,15 +1,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! An order-statistic treap.
+//! Order-statistic treaps for the adversary's two streams.
 //!
 //! The lower-bound adversary of Cormode & Veselý needs, for each of the
 //! two streams it grows, the quantities `rank_σ(a)` (position of item `a`
 //! in the sorted order of stream σ), `next(σ, a)` (the successor of `a`
-//! among σ's items) and `prev(σ, b)` — over streams that grow to millions
-//! of items. This crate provides those operations in O(log n) expected
-//! time via a randomized balanced BST (treap) augmented with subtree
-//! sizes.
+//! among σ's items), `prev(σ, b)`, the stream's minimum and maximum, and
+//! each item's arrival position — over streams of distinct items that
+//! grow to millions of items. [`OsTree`] provides exactly those
+//! operations in O(log n) expected time via a randomized balanced BST
+//! (treap) augmented with subtree sizes and a per-item tag, plus batched
+//! walks ([`OsTree::multi_count_le`], [`OsTree::multi_tag_of`]) that
+//! answer a sorted query set in one descent. [`RunTree`] is its
+//! interval-compressed counterpart over runs of virtual items.
 //!
 //! Priorities come from an internal deterministic SplitMix64 sequence, so
 //! a tree built by the same sequence of inserts always has the same
@@ -21,21 +25,20 @@
 //! use cqs_ostree::OsTree;
 //!
 //! let mut t = OsTree::new();
-//! for x in [50, 10, 30, 20, 40] {
-//!     t.insert(x);
+//! for (arrival, x) in [50, 10, 30, 20, 40].into_iter().enumerate() {
+//!     assert!(t.insert_unique_tagged(x, arrival as u64));
 //! }
+//! assert!(!t.insert_unique_tagged(30, 9)); // items are distinct
 //! assert_eq!(t.len(), 5);
-//! assert_eq!(t.rank(&30), 3);          // 1-based rank
-//! assert_eq!(t.select(4), Some(&40));  // 1-based select
+//! assert_eq!(t.count_less(&30) + 1, 3); // 1-based rank
+//! assert_eq!(t.tag_of(&30), Some(2)); // arrival position
 //! assert_eq!(t.successor(&30), Some(&40));
 //! assert_eq!(t.predecessor(&30), Some(&20));
 //! ```
 
-mod iter;
 mod runs;
 mod tree;
 
-pub use iter::Iter;
 pub use runs::{Fragment, Locate, RunTree};
 pub use tree::OsTree;
 
@@ -43,53 +46,52 @@ pub use tree::OsTree;
 mod tests {
     use super::*;
 
+    /// Inserts distinct `xs`, tagging each with its arrival position.
+    fn build(xs: impl IntoIterator<Item = u64>) -> OsTree<u64> {
+        let mut t = OsTree::new();
+        for x in xs {
+            let tag = t.len() as u64;
+            assert!(t.insert_unique_tagged(x, tag), "duplicate {x}");
+        }
+        t
+    }
+
+    /// The stored `(item, tag)` pairs in order.
+    fn pairs(t: &OsTree<u64>) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        t.for_each_tagged(&mut |&x, tag| out.push((x, tag)));
+        out
+    }
+
     #[test]
     fn empty_tree_behaviour() {
         let t: OsTree<u32> = OsTree::new();
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
-        assert_eq!(t.select(1), None);
         assert_eq!(t.successor(&5), None);
         assert_eq!(t.predecessor(&5), None);
         assert_eq!(t.count_less(&5), 0);
+        assert_eq!(t.count_le(&5), 0);
+        assert_eq!(t.tag_of(&5), None);
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
     }
 
     #[test]
     fn rank_counts_strictly_smaller_plus_one() {
-        let mut t = OsTree::new();
-        for x in [2u32, 4, 6, 8] {
-            t.insert(x);
-        }
-        assert_eq!(t.rank(&2), 1);
-        assert_eq!(t.rank(&8), 4);
+        let t = build([2, 4, 6, 8]);
+        let rank = |q: u64| t.count_less(&q) + 1;
+        assert_eq!(rank(2), 1);
+        assert_eq!(rank(8), 4);
         // rank of an absent item is still well-defined: 1 + #smaller.
-        assert_eq!(t.rank(&5), 3);
-        assert_eq!(t.rank(&1), 1);
-        assert_eq!(t.rank(&9), 5);
-    }
-
-    #[test]
-    fn select_is_inverse_of_rank() {
-        let mut t = OsTree::new();
-        let xs: Vec<u64> = (0..200).map(|i| (i * 37) % 1000).collect();
-        for &x in &xs {
-            t.insert(x);
-        }
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        for (i, x) in sorted.iter().enumerate() {
-            assert_eq!(t.select(i + 1), Some(x));
-        }
+        assert_eq!(rank(5), 3);
+        assert_eq!(rank(1), 1);
+        assert_eq!(rank(9), 5);
     }
 
     #[test]
     fn successor_predecessor_on_present_and_absent() {
-        let mut t = OsTree::new();
-        for x in [10u32, 20, 30] {
-            t.insert(x);
-        }
+        let t = build([10, 20, 30]);
         assert_eq!(t.successor(&10), Some(&20));
         assert_eq!(t.successor(&15), Some(&20));
         assert_eq!(t.successor(&30), None);
@@ -102,146 +104,95 @@ mod tests {
 
     #[test]
     fn min_max_and_iteration() {
-        let mut t = OsTree::new();
-        for x in [5u32, 1, 9, 3, 7] {
-            t.insert(x);
-        }
+        let t = build([5, 1, 9, 3, 7]);
         assert_eq!(t.min(), Some(&1));
         assert_eq!(t.max(), Some(&9));
-        let collected: Vec<u32> = t.iter().copied().collect();
-        assert_eq!(collected, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn duplicates_are_supported() {
-        let mut t = OsTree::new();
-        for x in [5u32, 5, 5, 3, 7] {
-            t.insert(x);
-        }
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.count_less(&5), 1);
-        assert_eq!(t.count_le(&5), 4);
-        assert_eq!(t.rank(&5), 2);
+        assert_eq!(pairs(&t), vec![(1, 1), (3, 3), (5, 0), (7, 4), (9, 2)]);
     }
 
     #[test]
     fn contains_works() {
-        let mut t = OsTree::new();
-        t.insert(42u32);
-        assert!(t.contains(&42));
-        assert!(!t.contains(&41));
+        let t = build([42]);
+        assert!(t.tag_of(&42).is_some());
+        assert!(t.tag_of(&41).is_none());
     }
 
     #[test]
     fn large_sequential_insert_stays_balanced_enough() {
         // Sequential inserts are the worst case for an unbalanced BST;
         // the treap must stay logarithmic.
-        let mut t = OsTree::new();
-        for x in 0..100_000u64 {
-            t.insert(x);
-        }
+        let t = build(0..100_000);
         assert_eq!(t.len(), 100_000);
-        assert_eq!(t.rank(&50_000), 50_001);
-        assert_eq!(t.select(99_999), Some(&99_998));
+        assert_eq!(t.count_less(&50_000), 50_000);
+        assert_eq!(t.tag_of(&99_998), Some(99_998));
         assert!(t.height() < 80, "treap height degenerate: {}", t.height());
     }
 
     #[test]
     fn deterministic_shape_across_builds() {
-        let build = || {
+        let build_once = || {
             let mut t = OsTree::with_seed(7);
             for x in 0..1000u32 {
-                t.insert(x.wrapping_mul(2654435761) % 4096);
+                t.insert_unique_tagged(x.wrapping_mul(2654435761) % 4096, 0);
             }
             t.height()
         };
-        assert_eq!(build(), build());
+        assert_eq!(build_once(), build_once());
     }
 
     #[test]
-    fn remove_deletes_single_occurrence() {
-        let mut t = OsTree::new();
-        for x in [5u32, 5, 7, 3] {
-            t.insert(x);
+    fn matches_sorted_vec_reference() {
+        // Differential against a sorted Vec over seeded random sets,
+        // built half per item and half as one sorted run.
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for round in 0..24 {
+            let n = next(300) as usize;
+            let mut xs: Vec<u64> = (0..n).map(|_| next(1000)).collect();
+            xs.sort_unstable();
+            xs.dedup();
+            let split = xs.len() / 2;
+            let mut t = OsTree::with_seed(round);
+            for &x in xs.iter().skip(split).rev() {
+                assert!(t.insert_unique_tagged(x, x));
+            }
+            t.extend_sorted_tagged(xs.iter().take(split).map(|&x| (x, x)));
+            let want: Vec<(u64, u64)> = xs.iter().map(|&x| (x, x)).collect();
+            assert_eq!(pairs(&t), want);
+            for q in [0, 1, 500, 999, 1000] {
+                assert_eq!(t.count_less(&q), xs.iter().filter(|&&x| x < q).count());
+                assert_eq!(t.count_le(&q), xs.iter().filter(|&&x| x <= q).count());
+                assert_eq!(t.successor(&q), xs.iter().find(|&&x| x > q));
+                assert_eq!(t.predecessor(&q), xs.iter().rev().find(|&&x| x < q));
+                assert_eq!(t.tag_of(&q), xs.binary_search(&q).ok().map(|_| q));
+            }
         }
-        assert!(t.remove(&5));
-        assert_eq!(t.len(), 3);
-        assert!(t.contains(&5), "one copy must remain");
-        assert!(t.remove(&5));
-        assert!(!t.contains(&5));
-        assert!(!t.remove(&99), "absent item is not removed");
-        assert_eq!(t.len(), 2);
     }
 
     #[test]
-    fn remove_keeps_order_statistics_consistent() {
-        let mut t = OsTree::new();
-        for x in 0..1000u64 {
-            t.insert(x);
-        }
-        for x in (0..1000u64).step_by(2) {
-            assert!(t.remove(&x));
-        }
-        assert_eq!(t.len(), 500);
-        // Remaining are the odds; rank of 501 = 251.
-        assert_eq!(t.rank(&501), 251);
-        assert_eq!(t.select(1), Some(&1));
-        assert_eq!(t.max(), Some(&999));
-        assert_eq!(t.successor(&1), Some(&3));
-    }
-
-    #[test]
-    fn count_between_and_range_visit() {
-        let mut t = OsTree::new();
-        for x in 0..100u32 {
-            t.insert(x);
-        }
-        assert_eq!(t.count_between(&10, &20), 9);
-        assert_eq!(t.count_between(&20, &10), 0);
-        let mut vals: Vec<u32> = Vec::new();
-        t.for_each_in_range(&10, &14, &mut |&x| vals.push(x));
-        assert_eq!(vals, vec![10, 11, 12, 13, 14]);
-        let mut none = 0usize;
-        t.for_each_in_range(&200, &300, &mut |_| none += 1);
-        assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn multi_count_rank_select_match_single_queries() {
+    fn multi_count_le_matches_single_queries() {
         // Differential: every batched answer must equal its one-walk
-        // counterpart, on a tree with duplicates and over query sets
-        // containing absent, duplicate, and boundary values.
-        let mut t = OsTree::new();
-        for x in [5u32, 5, 9, 9, 9, 12, 40, 41, 60] {
-            t.insert(x);
-        }
-        let qs: Vec<u32> = vec![0, 4, 5, 5, 8, 9, 10, 40, 42, 60, 61, 100];
+        // counterpart, over query sets containing absent, duplicate, and
+        // boundary values.
+        let t = build([5, 9, 12, 40, 41, 60]);
+        let qs: Vec<u64> = vec![0, 4, 5, 5, 8, 9, 10, 40, 42, 60, 61, 100];
         let mut le = Vec::new();
-        let mut less = Vec::new();
-        let mut ranks = Vec::new();
         t.multi_count_le(&qs, &mut le);
-        t.multi_count_less(&qs, &mut less);
-        t.multi_rank(&qs, &mut ranks);
-        for ((q, (&l, &ls)), &r) in qs.iter().zip(le.iter().zip(&less)).zip(&ranks) {
+        assert_eq!(le.len(), qs.len());
+        for (q, &l) in qs.iter().zip(&le) {
             assert_eq!(l, t.count_le(q), "count_le diverged at {q}");
-            assert_eq!(ls, t.count_less(q), "count_less diverged at {q}");
-            assert_eq!(r, t.rank(q), "rank diverged at {q}");
-        }
-        let rs: Vec<usize> = (0..=t.len() + 2).collect();
-        let mut sel = Vec::new();
-        t.multi_select(&rs, &mut sel);
-        for (&r, &s) in rs.iter().zip(&sel) {
-            assert_eq!(s, t.select(r), "select diverged at rank {r}");
         }
     }
 
     #[test]
     fn multi_tag_of_matches_single_lookups() {
-        let mut t = OsTree::new();
-        for (i, x) in [10u32, 20, 30, 40].iter().enumerate() {
-            assert!(t.insert_unique_tagged(*x, 100 + i as u64));
-        }
-        let qs: Vec<u32> = vec![5, 10, 15, 20, 20, 40, 99];
+        let t = build([10, 20, 30, 40]);
+        let qs: Vec<u64> = vec![5, 10, 15, 20, 20, 40, 99];
         let mut tags = Vec::new();
         t.multi_tag_of(&qs, &mut tags);
         for (q, &tag) in qs.iter().zip(&tags) {
@@ -252,11 +203,9 @@ mod tests {
     #[test]
     fn multi_queries_on_empty_tree() {
         let t: OsTree<u32> = OsTree::new();
-        let (mut le, mut sel, mut tags) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut le, mut tags) = (Vec::new(), Vec::new());
         t.multi_count_le(&[1, 2, 3], &mut le);
         assert_eq!(le, vec![0, 0, 0]);
-        t.multi_select(&[0, 1, 2], &mut sel);
-        assert_eq!(sel, vec![None, None, None]);
         t.multi_tag_of(&[7], &mut tags);
         assert_eq!(tags, vec![None]);
         t.multi_count_le(&[], &mut le);
@@ -265,43 +214,38 @@ mod tests {
 
     #[test]
     fn extend_sorted_matches_per_item_insert() {
-        // Equivalence: same multiset → same rank/select/successor/
+        // Equivalence: same set, same tags → same count/successor/
         // predecessor answers, regardless of how the items arrived.
         let runs: Vec<Vec<u64>> = vec![
             vec![],
             vec![7],
             (0..500).collect(),
-            (0..100).map(|i| i * 3 % 97).collect::<Vec<u64>>(),
-            vec![5, 5, 5, 9, 9],
+            (0..100).map(|i| i * 3 % 97).collect(),
         ];
         for base in [Vec::new(), (1000..1100).collect::<Vec<u64>>()] {
             for run in &runs {
                 let mut sorted_run = run.clone();
                 sorted_run.sort_unstable();
+                sorted_run.dedup();
 
                 let mut bulk = OsTree::with_seed(11);
                 let mut single = OsTree::with_seed(11);
                 for &x in &base {
-                    bulk.insert(x);
-                    single.insert(x);
+                    bulk.insert_unique_tagged(x, x);
+                    single.insert_unique_tagged(x, x);
                 }
-                bulk.extend_sorted(sorted_run.iter().copied());
+                bulk.extend_sorted_tagged(sorted_run.iter().map(|&x| (x, x)));
                 for &x in &sorted_run {
-                    single.insert(x);
+                    single.insert_unique_tagged(x, x);
                 }
 
                 assert_eq!(bulk.len(), single.len());
-                let a: Vec<u64> = bulk.iter().copied().collect();
-                let b: Vec<u64> = single.iter().copied().collect();
-                assert_eq!(a, b, "in-order traversal diverged");
+                assert_eq!(pairs(&bulk), pairs(&single), "in-order traversal diverged");
                 for q in [0u64, 5, 9, 50, 96, 150, 1000, 1099, 2000] {
-                    assert_eq!(bulk.rank(&q), single.rank(&q));
+                    assert_eq!(bulk.count_less(&q), single.count_less(&q));
                     assert_eq!(bulk.count_le(&q), single.count_le(&q));
                     assert_eq!(bulk.successor(&q), single.successor(&q));
                     assert_eq!(bulk.predecessor(&q), single.predecessor(&q));
-                }
-                for r in 1..=bulk.len() {
-                    assert_eq!(bulk.select(r), single.select(r));
                 }
             }
         }
@@ -311,21 +255,14 @@ mod tests {
     fn extend_sorted_interleaves_with_existing_items() {
         // The run's key range overlaps the existing tree item-by-item.
         let mut bulk = OsTree::with_seed(3);
-        let mut single = OsTree::with_seed(3);
         for x in (0..1000u64).step_by(2) {
-            bulk.insert(x);
-            single.insert(x);
+            bulk.insert_unique_tagged(x, x);
         }
         let odds: Vec<u64> = (0..1000).filter(|x| x % 2 == 1).collect();
-        bulk.extend_sorted(odds.iter().copied());
-        for &x in &odds {
-            single.insert(x);
-        }
+        bulk.extend_sorted_tagged(odds.iter().map(|&x| (x, x)));
         assert_eq!(bulk.len(), 1000);
-        let a: Vec<u64> = bulk.iter().copied().collect();
-        let expected: Vec<u64> = (0..1000).collect();
-        assert_eq!(a, expected);
-        assert_eq!(single.len(), 1000);
+        let expected: Vec<(u64, u64)> = (0..1000).map(|x| (x, x)).collect();
+        assert_eq!(pairs(&bulk), expected);
         assert!(bulk.height() < 80, "degenerate: {}", bulk.height());
     }
 
@@ -333,9 +270,9 @@ mod tests {
     fn extend_sorted_bulk_height_stays_logarithmic() {
         // An all-sorted bulk build is the shape-degeneracy worst case.
         let mut t = OsTree::new();
-        t.extend_sorted(0..100_000u64);
+        t.extend_sorted_tagged((0..100_000u64).map(|x| (x, x)));
         assert_eq!(t.len(), 100_000);
-        assert_eq!(t.rank(&50_000), 50_001);
+        assert_eq!(t.count_less(&50_000), 50_000);
         assert!(t.height() < 80, "degenerate: {}", t.height());
     }
 
@@ -360,10 +297,7 @@ mod tests {
 
     #[test]
     fn count_in_open_interval() {
-        let mut t = OsTree::new();
-        for x in 0..100u32 {
-            t.insert(x);
-        }
+        let t = build(0..100);
         // Items strictly between 10 and 20: 11..=19 → 9 items.
         let n = t.count_less(&20) - t.count_le(&10);
         assert_eq!(n, 9);

@@ -6,9 +6,8 @@
 //! including them, and bookkeeping locating the block inside its minted
 //! run. A [`RunTree`] keeps the fragments in label order and caches the
 //! **virtual** subtree size (sum of fragment counts) at every node, so
-//! rank ([`locate`](RunTree::locate)) and select
-//! ([`select`](RunTree::select)) descend in O(log #fragments) while
-//! representing arbitrarily many items per fragment.
+//! rank ([`locate`](RunTree::locate)) descends in O(log #fragments)
+//! while representing arbitrarily many items per fragment.
 //!
 //! The tree compares only the fragments' endpoint items (`T: Ord`) —
 //! everything *between* a fragment's endpoints is opaque to it. Point
@@ -110,12 +109,6 @@ impl<T: Ord + Clone> RunTree<T> {
     /// Whether the tree stores no fragments.
     pub fn is_empty(&self) -> bool {
         self.root == NIL
-    }
-
-    /// Pre-allocates arena capacity for `additional` more fragments.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes
-            .reserve(additional.saturating_sub(self.free.len()));
     }
 
     fn node(&self, link: u32) -> Option<&Node<T>> {
@@ -257,25 +250,6 @@ impl<T: Ord + Clone> RunTree<T> {
             }
         }
         self.frag_at(best)
-    }
-
-    /// The fragment holding the virtual item of 0-based global rank `r`,
-    /// plus the item's offset within the fragment.
-    pub fn select(&self, r: u64) -> Option<(&Fragment<T>, u64)> {
-        let mut link = self.root;
-        let mut r = r;
-        while let Some(node) = self.node(link) {
-            let ls = subtotal(&self.nodes, node.left);
-            if r < ls {
-                link = node.left;
-            } else if r < ls + node.frag.count {
-                return Some((&node.frag, r - ls));
-            } else {
-                r -= ls + node.frag.count;
-                link = node.right;
-            }
-        }
-        None
     }
 
     /// The lowest fragment.
@@ -584,7 +558,6 @@ mod tests {
         assert_eq!(t.virtual_len(), 0);
         assert_eq!(t.fragment_count(), 0);
         assert!(t.is_empty());
-        assert!(t.select(0).is_none());
         assert!(t.first().is_none());
         assert!(t.last().is_none());
         let l = t.locate(&5);
@@ -598,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn locate_and_select_match_reference_model() {
+    fn locate_matches_reference_model() {
         // Disjoint fragments with gaps, inserted out of order.
         let mut model = vec![
             frag(10, 19, 10, 0, 0),
@@ -646,16 +619,6 @@ mod tests {
         check_multi_locate(&t, &model, &sweep);
         let dup: Vec<u64> = (0..=110u64).flat_map(|q| [q, q]).collect();
         check_multi_locate(&t, &model, &dup);
-        // Select: walk the model's virtual items in order.
-        let mut r = 0u64;
-        for f in &model {
-            for off in 0..f.count {
-                let (got, goff) = t.select(r).expect("rank in range");
-                assert_eq!((got.run, goff), (f.run, off), "select({r}) diverged");
-                r += 1;
-            }
-        }
-        assert!(t.select(r).is_none());
     }
 
     #[test]
@@ -674,12 +637,11 @@ mod tests {
         assert_eq!(t.locate(&44).before, 31);
         assert_eq!(t.locate(&45).before, 31);
         assert_eq!(t.locate(&56).before, 231);
-        let (f, off) = t.select(31).unwrap();
-        assert_eq!((f.run, off), (1, 0));
-        let (f, off) = t.select(230).unwrap();
-        assert_eq!((f.run, off), (1, 199));
-        let (f, off) = t.select(231).unwrap();
-        assert_eq!((f.run, f.base, off), (0, 50, 0));
+        let hit = |q: u64| t.locate(&q).hit.map(|f| (f.run, f.base, f.count));
+        assert_eq!(hit(45), Some((1, 0, 200)));
+        assert_eq!(hit(55), Some((1, 0, 200)));
+        assert_eq!(hit(60), Some((0, 50, 40)));
+        assert_eq!(hit(42), None, "the split-off range stays empty");
         // Arena slot reuse after the removal.
         assert_eq!(t.fragment_count(), 3);
         assert!(t.remove_containing(&42).is_none(), "gap contains nothing");
@@ -724,8 +686,6 @@ mod tests {
             let l = t.locate(&(i * 2));
             assert_eq!(l.before, i);
             assert_eq!(l.hit.unwrap().base, i);
-            let (f, off) = t.select(i).unwrap();
-            assert_eq!((f.base, off), (i, 0));
         }
         // Odd probes fall in gaps.
         let l = t.locate(&501);

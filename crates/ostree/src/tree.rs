@@ -5,45 +5,40 @@
 //! inserts items in sorted leaf runs, so arena order correlates with
 //! key order and a descent touches a handful of cache lines where the
 //! boxed layout chased pointers across the heap; it also makes a node
-//! allocation a bump of the `Vec` instead of a `malloc`.
-
-use crate::iter::Iter;
+//! allocation a bump of the `Vec` instead of a `malloc`. Nothing is
+//! ever removed, so the arena holds exactly the stored items.
 
 /// Absent-link sentinel. `nodes.get(NIL as usize)` is `None` because
 /// the arena never grows to `u32::MAX` entries (checked on alloc), so
 /// every walk treats `NIL` uniformly as an empty subtree.
-pub(crate) const NIL: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
 
-pub(crate) struct Node<T> {
-    pub(crate) item: T,
+struct Node<T> {
+    item: T,
     pri: u64,
     tag: u64,
     size: u32,
     /// Cached size of the left subtree. Redundant with
     /// `size(nodes, left)`, but keeping it in the node means every
-    /// rank/select descent reads ONE arena slot per level instead of
+    /// counting descent reads ONE arena slot per level instead of
     /// also touching the left child just for its size.
     left_size: u32,
-    pub(crate) left: u32,
-    pub(crate) right: u32,
+    left: u32,
+    right: u32,
 }
 
-/// A multiset ordered by `T: Ord`, supporting order statistics.
+/// A set of distinct items ordered by `T: Ord`, each carrying a 64-bit
+/// tag, supporting order statistics.
 ///
 /// See the crate docs for the operation set. All operations are
 /// O(log n) expected; shape is deterministic given the seed and the
 /// insert sequence.
 pub struct OsTree<T> {
     nodes: Vec<Node<T>>,
-    /// Slots of removed nodes, reused before the arena grows. A freed
-    /// slot keeps its (unreachable) item until reuse; removal is off
-    /// the adversary's hot path, so the transient retention is cheaper
-    /// than compacting the arena.
-    free: Vec<u32>,
     root: u32,
     rng: u64,
     /// Right-spine scratch for the bulk sorted build, kept across
-    /// [`extend_sorted`](Self::extend_sorted) calls.
+    /// [`extend_sorted_tagged`](Self::extend_sorted_tagged) calls.
     spine: Vec<u32>,
 }
 
@@ -63,7 +58,6 @@ impl<T: Ord> OsTree<T> {
     pub fn with_seed(seed: u64) -> Self {
         OsTree {
             nodes: Vec::new(),
-            free: Vec::new(),
             root: NIL,
             rng: seed | 1,
             spine: Vec::new(),
@@ -85,7 +79,12 @@ impl<T: Ord> OsTree<T> {
     /// arena index, not an item derivative — and certifies the index
     /// arithmetic downstream of it.
     fn alloc(&mut self, item: T, pri: u64, tag: u64, out: &mut u32) {
-        let node = Node {
+        assert!(
+            self.nodes.len() < NIL as usize,
+            "OsTree arena exhausted the u32 index space"
+        );
+        let i = self.nodes.len() as u32;
+        self.nodes.push(Node {
             item,
             pri,
             tag,
@@ -93,20 +92,7 @@ impl<T: Ord> OsTree<T> {
             left_size: 0,
             left: NIL,
             right: NIL,
-        };
-        if let Some(i) = self.free.pop() {
-            if let Some(slot) = self.nodes.get_mut(i as usize) {
-                *slot = node;
-                *out = i;
-                return;
-            }
-        }
-        assert!(
-            self.nodes.len() < NIL as usize,
-            "OsTree arena exhausted the u32 index space"
-        );
-        let i = self.nodes.len() as u32;
-        self.nodes.push(node);
+        });
         *out = i;
     }
 
@@ -133,29 +119,11 @@ impl<T: Ord> OsTree<T> {
         self.node(self.root).is_none()
     }
 
-    /// Inserts `item`; duplicates are kept (multiset semantics).
-    pub fn insert(&mut self, item: T) {
-        self.insert_tagged(item, 0);
-    }
-
     /// Inserts `item` carrying a 64-bit tag — an augmentation slot each
     /// node stores alongside the item (the adversary keeps the arrival
-    /// position there, fusing what used to be a parallel
-    /// `BTreeMap<Item, u64>` walk into this one). Duplicates are kept.
-    pub fn insert_tagged(&mut self, item: T, tag: u64) {
-        let pri = self.next_pri();
-        let mut halves = (NIL, NIL);
-        split(&mut self.nodes, self.root, &item, &mut halves);
-        let mut idx = NIL;
-        self.alloc(item, pri, tag, &mut idx);
-        let lo = merge(&mut self.nodes, halves.0, idx);
-        self.root = merge(&mut self.nodes, lo, halves.1);
-    }
-
-    /// Inserts `item` with `tag` only if no equal item is stored;
-    /// returns whether the insert happened. Costs a single descent, so
-    /// callers needing set (not multiset) semantics get the duplicate
-    /// check for free instead of paying a separate `contains` walk.
+    /// position there) — only if no equal item is stored; returns
+    /// whether the insert happened. The split that places the item
+    /// doubles as the duplicate check, so it costs a single descent.
     pub fn insert_unique_tagged(&mut self, item: T, tag: u64) -> bool {
         let pri = self.next_pri();
         let mut halves = (NIL, NIL);
@@ -173,8 +141,8 @@ impl<T: Ord> OsTree<T> {
         true
     }
 
-    /// The tag of a stored occurrence of `q` (the one nearest the root
-    /// if duplicates exist), or `None` if `q` is not stored.
+    /// The tag of the stored item equal to `q`, or `None` if `q` is not
+    /// stored.
     pub fn tag_of(&self, q: &T) -> Option<u64> {
         let mut n = self.node(self.root);
         while let Some(node) = n {
@@ -187,24 +155,19 @@ impl<T: Ord> OsTree<T> {
         None
     }
 
-    /// Bulk insert of a non-decreasing run: builds a treap from the run
-    /// in O(m) (stack-based Cartesian construction over the drawn
-    /// priorities) and joins it with the existing tree in
-    /// O(m + log n) expected when the run occupies a key range free of
-    /// existing items (the adversary's leaf case), degrading gracefully
-    /// to a treap union — O(m·log(n/m)) expected — under arbitrary
-    /// interleaving. Equivalent to calling [`insert`](Self::insert) per
-    /// item: same multiset, same order-statistic answers.
+    /// Bulk insert of a strictly increasing run of `(item, tag)` pairs
+    /// holding no stored item: builds a treap from the run in O(m)
+    /// (stack-based Cartesian construction over the drawn priorities)
+    /// and joins it with the existing tree in O(m + log n) expected
+    /// when the run occupies a key range free of existing items (the
+    /// adversary's leaf case), degrading gracefully to a treap union —
+    /// O(m·log(n/m)) expected — under arbitrary interleaving. Same
+    /// order-statistic answers as calling
+    /// [`insert_unique_tagged`](Self::insert_unique_tagged) per pair.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that `items` is sorted non-decreasingly.
-    pub fn extend_sorted<I: IntoIterator<Item = T>>(&mut self, items: I) {
-        self.extend_sorted_tagged(items.into_iter().map(|it| (it, 0)));
-    }
-
-    /// [`extend_sorted`](Self::extend_sorted) with a tag per item (see
-    /// [`insert_tagged`](Self::insert_tagged)).
+    /// Debug-asserts that `pairs` is sorted.
     pub fn extend_sorted_tagged<I: IntoIterator<Item = (T, u64)>>(&mut self, pairs: I) {
         let mut run = NIL;
         self.build_sorted(pairs, &mut run);
@@ -222,7 +185,7 @@ impl<T: Ord> OsTree<T> {
                 spine
                     .last()
                     .is_none_or(|&top| self.node(top).is_none_or(|n| n.item <= item)),
-                "extend_sorted run is not sorted"
+                "extend_sorted_tagged run is not sorted"
             );
             let pri = self.next_pri();
             let mut idx = NIL;
@@ -249,64 +212,8 @@ impl<T: Ord> OsTree<T> {
         *out = right;
     }
 
-    /// Removes one occurrence of `item`; returns whether anything was
-    /// removed. O(log n) expected.
-    pub fn remove(&mut self, item: &T) -> bool {
-        let mut lo_ge = (NIL, NIL);
-        split(&mut self.nodes, self.root, item, &mut lo_ge);
-        // Split off the run of items equal to `item`, drop one.
-        let mut eq_gt = (NIL, NIL);
-        split_gt(&mut self.nodes, lo_ge.1, item, &mut eq_gt);
-        let (removed, eq) = match self.node(eq_gt.0) {
-            None => (false, eq_gt.0),
-            Some(n) => {
-                let (l, r) = (n.left, n.right);
-                self.free.push(eq_gt.0);
-                (true, merge(&mut self.nodes, l, r))
-            }
-        };
-        let lo = merge(&mut self.nodes, lo_ge.0, eq);
-        self.root = merge(&mut self.nodes, lo, eq_gt.1);
-        removed
-    }
-
-    /// Number of stored items strictly inside the open range `(lo, hi)`.
-    pub fn count_between(&self, lo: &T, hi: &T) -> usize {
-        if lo >= hi {
-            return 0;
-        }
-        self.count_less(hi) - self.count_le(lo)
-    }
-
-    /// Visits, in order, the stored items within the closed range
-    /// `[lo, hi]` — the allocation-free replacement for the old
-    /// `range_items` (which collected a `Vec<&T>` on the gap-scan hot
-    /// path and failed the `hot-path-alloc` lint).
-    pub fn for_each_in_range(&self, lo: &T, hi: &T, f: &mut dyn FnMut(&T)) {
-        fn walk<'a, T: Ord>(
-            nodes: &'a [Node<T>],
-            link: u32,
-            lo: &T,
-            hi: &T,
-            f: &mut dyn FnMut(&'a T),
-        ) {
-            let Some(node) = nodes.get(link as usize) else {
-                return;
-            };
-            if node.item >= *lo {
-                walk(nodes, node.left, lo, hi, f);
-            }
-            if node.item >= *lo && node.item <= *hi {
-                f(&node.item);
-            }
-            if node.item <= *hi {
-                walk(nodes, node.right, lo, hi, f);
-            }
-        }
-        walk(&self.nodes, self.root, lo, hi, f);
-    }
-
-    /// Number of stored items strictly smaller than `q`.
+    /// Number of stored items strictly smaller than `q` (one less than
+    /// the paper's 1-based `rank_σ(q)`).
     pub fn count_less(&self, q: &T) -> usize {
         let mut n = self.node(self.root);
         let mut acc = 0;
@@ -336,13 +243,6 @@ impl<T: Ord> OsTree<T> {
         acc
     }
 
-    /// The 1-based rank of `q`: one more than the number of items
-    /// strictly smaller (the paper's `rank_σ`, well-defined because the
-    /// adversarial streams contain distinct items).
-    pub fn rank(&self, q: &T) -> usize {
-        self.count_less(q) + 1
-    }
-
     /// Batched [`count_le`](Self::count_le): answers for every query of
     /// the sorted slice `qs` in **one** tree walk, written into `out`
     /// (cleared first; `out[i]` answers `qs[i]`).
@@ -366,52 +266,12 @@ impl<T: Ord> OsTree<T> {
         out.resize(qs.len(), 0);
         // A query q goes right (answer includes left subtree + node)
         // exactly when node.item <= q, mirroring `count_le`'s descent.
-        multi_count(&self.nodes, self.root, qs, 0, out, &|q, item| *q < *item);
-    }
-
-    /// Batched [`count_less`](Self::count_less) over the sorted `qs`;
-    /// one walk, same output convention as
-    /// [`multi_count_le`](Self::multi_count_le).
-    pub fn multi_count_less(&self, qs: &[T], out: &mut Vec<usize>) {
-        debug_assert!(
-            qs.iter().zip(qs.iter().skip(1)).all(|(a, b)| a <= b),
-            "multi_count_less queries must be sorted"
-        );
-        out.clear();
-        out.resize(qs.len(), 0);
-        multi_count(&self.nodes, self.root, qs, 0, out, &|q, item| *q <= *item);
-    }
-
-    /// Batched [`rank`](Self::rank) over the sorted `qs`: one walk,
-    /// `out[i]` is the 1-based rank of `qs[i]`.
-    pub fn multi_rank(&self, qs: &[T], out: &mut Vec<usize>) {
-        self.multi_count_less(qs, out);
-        for r in out.iter_mut() {
-            *r += 1;
-        }
-    }
-
-    /// Batched [`select`](Self::select) over the sorted rank slice:
-    /// one walk, `out[i]` is the item of rank `ranks[i]` (or `None`
-    /// when the rank is out of range).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `ranks` is sorted non-decreasingly.
-    pub fn multi_select<'a>(&'a self, ranks: &[usize], out: &mut Vec<Option<&'a T>>) {
-        debug_assert!(
-            ranks.iter().zip(ranks.iter().skip(1)).all(|(a, b)| a <= b),
-            "multi_select ranks must be sorted"
-        );
-        out.clear();
-        out.resize(ranks.len(), None);
-        multi_select_walk(&self.nodes, self.root, 0, ranks, out);
+        multi_count_le_walk(&self.nodes, self.root, qs, 0, out);
     }
 
     /// Batched [`tag_of`](Self::tag_of) over the sorted `qs`: one walk,
-    /// `out[i]` is the tag of a stored occurrence of `qs[i]` (`None`
-    /// when absent). Resolves the same occurrence `tag_of` would (the
-    /// one nearest the root).
+    /// `out[i]` is the tag of the stored item equal to `qs[i]` (`None`
+    /// when absent).
     pub fn multi_tag_of(&self, qs: &[T], out: &mut Vec<Option<u64>>) {
         debug_assert!(
             qs.iter().zip(qs.iter().skip(1)).all(|(a, b)| a <= b),
@@ -420,27 +280,6 @@ impl<T: Ord> OsTree<T> {
         out.clear();
         out.resize(qs.len(), None);
         multi_tag_walk(&self.nodes, self.root, qs, out);
-    }
-
-    /// The item of 1-based rank `r` (i.e. the r-th smallest), if any.
-    pub fn select(&self, r: usize) -> Option<&T> {
-        if r == 0 || r > self.len() {
-            return None;
-        }
-        let mut n = self.node(self.root);
-        let mut r = r;
-        while let Some(node) = n {
-            let ls = node.left_size as usize;
-            if r == ls + 1 {
-                return Some(&node.item);
-            } else if r <= ls {
-                n = self.node(node.left);
-            } else {
-                r -= ls + 1;
-                n = self.node(node.right);
-            }
-        }
-        None
     }
 
     /// Smallest stored item strictly greater than `q` — the paper's
@@ -475,19 +314,6 @@ impl<T: Ord> OsTree<T> {
         best
     }
 
-    /// Whether `q` is stored.
-    pub fn contains(&self, q: &T) -> bool {
-        let mut n = self.node(self.root);
-        while let Some(node) = n {
-            match q.cmp(&node.item) {
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Less => n = self.node(node.left),
-                std::cmp::Ordering::Greater => n = self.node(node.right),
-            }
-        }
-        false
-    }
-
     /// The minimum item.
     pub fn min(&self) -> Option<&T> {
         leftmost(&self.nodes, self.root)
@@ -502,14 +328,9 @@ impl<T: Ord> OsTree<T> {
         Some(&n.item)
     }
 
-    /// In-order iterator over stored items.
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter::new(&self.nodes, self.root)
-    }
-
     /// Visits, in order, every stored item together with its tag — the
     /// traversal snapshot/restore uses to persist arrival positions
-    /// alongside the sorted stream (tags are invisible to [`iter`](Self::iter)).
+    /// alongside the sorted stream.
     pub fn for_each_tagged(&self, f: &mut dyn FnMut(&T, u64)) {
         fn walk<'a, T>(nodes: &'a [Node<T>], link: u32, f: &mut dyn FnMut(&'a T, u64)) {
             let Some(node) = nodes.get(link as usize) else {
@@ -522,32 +343,15 @@ impl<T: Ord> OsTree<T> {
         walk(&self.nodes, self.root, f);
     }
 
-    /// Tree height (diagnostics; expected O(log n)).
-    pub fn height(&self) -> usize {
+    /// Tree height (shape tests; expected O(log n)).
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         fn h<T>(nodes: &[Node<T>], link: u32) -> usize {
             nodes
                 .get(link as usize)
                 .map_or(0, |n| 1 + h(nodes, n.left).max(h(nodes, n.right)))
         }
         h(&self.nodes, self.root)
-    }
-}
-
-impl<'a, T: Ord> IntoIterator for &'a OsTree<T> {
-    type Item = &'a T;
-    type IntoIter = Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<T: Ord> FromIterator<T> for OsTree<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut t = OsTree::new();
-        for x in iter {
-            t.insert(x);
-        }
-        t
     }
 }
 
@@ -584,17 +388,16 @@ fn set_right<T>(nodes: &mut [Node<T>], i: u32, child: u32) {
     }
 }
 
-/// Shared descent of the batched counting walks: `qs` (sorted) splits
-/// at each node into the prefix that descends left (per `goes_left`)
-/// and the suffix that descends right carrying `acc + |left| + 1`; a
-/// query reaching an empty link has accumulated its full answer.
-fn multi_count<T: Ord>(
+/// Batched `count_le` descent: `qs` (sorted) splits at each node into
+/// the prefix below the node's item (descends left) and the suffix at
+/// or above it (descends right carrying `acc + |left| + 1`); a query
+/// reaching an empty link has accumulated its full answer.
+fn multi_count_le_walk<T: Ord>(
     nodes: &[Node<T>],
     link: u32,
     qs: &[T],
     acc: usize,
     out: &mut [usize],
-    goes_left: &impl Fn(&T, &T) -> bool,
 ) {
     if qs.is_empty() {
         return;
@@ -607,7 +410,7 @@ fn multi_count<T: Ord>(
             let mut n = nodes.get(link as usize);
             let mut acc = acc;
             while let Some(node) = n {
-                if goes_left(q, &node.item) {
+                if *q < node.item {
                     n = nodes.get(node.left as usize);
                 } else {
                     acc += node.left_size as usize + 1;
@@ -626,76 +429,25 @@ fn multi_count<T: Ord>(
             // path; probing the sorted slice's endpoints first answers
             // those nodes with one comparison instead of the log|qs|
             // partition scan.
-            let split_at = if qs.last().is_some_and(|q| goes_left(q, &node.item)) {
+            let split_at = if qs.last().is_some_and(|q| *q < node.item) {
                 qs.len()
-            } else if qs.first().is_some_and(|q| !goes_left(q, &node.item)) {
+            } else if qs.first().is_some_and(|q| *q >= node.item) {
                 0
             } else {
-                qs.partition_point(|q| goes_left(q, &node.item))
+                qs.partition_point(|q| *q < node.item)
             };
             let (ql, qr) = qs.split_at(split_at);
             let (ol, or) = out.split_at_mut(ql.len());
             let below = acc + node.left_size as usize + 1;
-            multi_count(nodes, node.left, ql, acc, ol, goes_left);
-            multi_count(nodes, node.right, qr, below, or, goes_left);
+            multi_count_le_walk(nodes, node.left, ql, acc, ol);
+            multi_count_le_walk(nodes, node.right, qr, below, or);
         }
     }
 }
 
-/// Batched select descent: `base` is the number of items in-order
-/// before this subtree, so the node answers global rank
-/// `base + |left| + 1`; smaller ranks go left, larger go right. Ranks
-/// outside `(base, base + size]` fall off an empty link and stay
-/// `None`.
-fn multi_select_walk<'a, T: Ord>(
-    nodes: &'a [Node<T>],
-    link: u32,
-    base: usize,
-    ranks: &[usize],
-    out: &mut [Option<&'a T>],
-) {
-    if ranks.is_empty() {
-        return;
-    }
-    if ranks.len() == 1 {
-        // Lone rank: the `select`-style descent loop.
-        if let (Some(&r), Some(slot)) = (ranks.first(), out.first_mut()) {
-            let mut n = nodes.get(link as usize);
-            let mut base = base;
-            *slot = None;
-            while let Some(node) = n {
-                let here = base + node.left_size as usize + 1;
-                if r < here {
-                    n = nodes.get(node.left as usize);
-                } else if r == here {
-                    *slot = Some(&node.item);
-                    break;
-                } else {
-                    base = here;
-                    n = nodes.get(node.right as usize);
-                }
-            }
-        }
-        return;
-    }
-    match nodes.get(link as usize) {
-        None => out.fill(None),
-        Some(node) => {
-            let here = base + node.left_size as usize + 1;
-            let (rl, rest) = ranks.split_at(ranks.partition_point(|&r| r < here));
-            let (req, rr) = rest.split_at(rest.partition_point(|&r| r <= here));
-            let (ol, orest) = out.split_at_mut(rl.len());
-            let (oeq, orr) = orest.split_at_mut(req.len());
-            multi_select_walk(nodes, node.left, base, rl, ol);
-            oeq.fill(Some(&node.item));
-            multi_select_walk(nodes, node.right, here, rr, orr);
-        }
-    }
-}
-
-/// Batched tag descent: queries equal to the node resolve here (the
-/// occurrence nearest the root, as `tag_of` returns), smaller continue
-/// left, larger right; a query falling off an empty link stays `None`.
+/// Batched tag descent: queries equal to the node resolve here,
+/// smaller continue left, larger right; a query falling off an empty
+/// link stays `None`.
 fn multi_tag_walk<T: Ord>(nodes: &[Node<T>], link: u32, qs: &[T], out: &mut [Option<u64>]) {
     if qs.is_empty() {
         return;
@@ -721,9 +473,9 @@ fn multi_tag_walk<T: Ord>(nodes: &[Node<T>], link: u32, qs: &[T], out: &mut [Opt
     match nodes.get(link as usize) {
         None => out.fill(None),
         Some(node) => {
-            // Same endpoint probe as `multi_count`: a batch wholly on
-            // one side of the node costs one comparison, not two
-            // log|qs| partition scans.
+            // Same endpoint probe as `multi_count_le_walk`: a batch
+            // wholly on one side of the node costs one comparison, not
+            // two log|qs| partition scans.
             let below = if qs.last().is_some_and(|q| *q < node.item) {
                 qs.len()
             } else if qs.first().is_some_and(|q| *q >= node.item) {
@@ -743,7 +495,7 @@ fn multi_tag_walk<T: Ord>(nodes: &[Node<T>], link: u32, qs: &[T], out: &mut [Opt
 }
 
 /// Splits into `out = (items < key, items >= key)`. The key is
-/// external to the arena (an item being inserted or removed), so
+/// external to the arena (the item being inserted), so
 /// comparing it never aliases the mutable arena borrow. The halves
 /// land in an out-parameter: the purity analysis then sees the links
 /// as the indices they are — only the `goes_right` comparison touches
@@ -762,26 +514,6 @@ fn split<T: Ord>(nodes: &mut [Node<T>], link: u32, key: &T, out: &mut (u32, u32)
         out.0 = link;
     } else {
         split(nodes, left, key, out);
-        set_left(nodes, link, out.1);
-        out.1 = link;
-    }
-}
-
-/// Splits into `out = (items <= key, items > key)`.
-fn split_gt<T: Ord>(nodes: &mut [Node<T>], link: u32, key: &T, out: &mut (u32, u32)) {
-    let (goes_right, left, right) = match nodes.get(link as usize) {
-        Some(n) => (*key >= n.item, n.left, n.right),
-        None => {
-            *out = (NIL, NIL);
-            return;
-        }
-    };
-    if goes_right {
-        split_gt(nodes, right, key, out);
-        set_right(nodes, link, out.0);
-        out.0 = link;
-    } else {
-        split_gt(nodes, left, key, out);
         set_left(nodes, link, out.1);
         out.1 = link;
     }
@@ -859,147 +591,4 @@ fn union<T: Ord>(nodes: &mut [Node<T>], a: u32, b: u32) -> u32 {
     set_left(nodes, root, nl);
     set_right(nodes, root, nr);
     root
-}
-
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn matches_sorted_vec_reference(xs in proptest::collection::vec(0u32..1000, 0..300)) {
-            let mut t = OsTree::new();
-            let mut reference = Vec::new();
-            for &x in &xs {
-                t.insert(x);
-                reference.push(x);
-            }
-            reference.sort_unstable();
-            prop_assert_eq!(t.len(), reference.len());
-            let collected: Vec<u32> = t.iter().copied().collect();
-            prop_assert_eq!(&collected, &reference);
-            for q in [0u32, 1, 500, 999, 1000] {
-                prop_assert_eq!(t.count_less(&q), reference.iter().filter(|&&x| x < q).count());
-                prop_assert_eq!(t.count_le(&q), reference.iter().filter(|&&x| x <= q).count());
-                let suc = reference.iter().find(|&&x| x > q);
-                prop_assert_eq!(t.successor(&q), suc);
-                let pre = reference.iter().rev().find(|&&x| x < q);
-                prop_assert_eq!(t.predecessor(&q), pre);
-            }
-            for r in 1..=reference.len() {
-                prop_assert_eq!(t.select(r), Some(&reference[r - 1]));
-            }
-        }
-
-        #[test]
-        fn insert_remove_differential(ops in proptest::collection::vec((any::<bool>(), 0u32..50), 1..400)) {
-            // Differential test: treap vs sorted Vec under a random
-            // interleaving of inserts and removes.
-            let mut t = OsTree::new();
-            let mut reference: Vec<u32> = Vec::new();
-            for (is_insert, x) in ops {
-                if is_insert {
-                    t.insert(x);
-                    let pos = reference.partition_point(|&v| v <= x);
-                    reference.insert(pos, x);
-                } else {
-                    let removed = t.remove(&x);
-                    let expected = reference.iter().position(|&v| v == x);
-                    prop_assert_eq!(removed, expected.is_some());
-                    if let Some(i) = expected {
-                        reference.remove(i);
-                    }
-                }
-                prop_assert_eq!(t.len(), reference.len());
-            }
-            let collected: Vec<u32> = t.iter().copied().collect();
-            prop_assert_eq!(collected, reference.clone());
-            for q in [0u32, 10, 25, 49] {
-                prop_assert_eq!(t.count_less(&q), reference.iter().filter(|&&x| x < q).count());
-            }
-        }
-
-        #[test]
-        fn rank_select_roundtrip(xs in proptest::collection::hash_set(0u64..100_000, 1..200)) {
-            let mut t = OsTree::new();
-            for &x in &xs {
-                t.insert(x);
-            }
-            for &x in &xs {
-                let r = t.rank(&x);
-                prop_assert_eq!(t.select(r), Some(&x));
-            }
-        }
-
-        #[test]
-        fn batched_walks_match_single_queries(
-            xs in proptest::collection::vec(0u64..600, 0..250),
-            mut qs in proptest::collection::vec(0u64..650, 0..80),
-        ) {
-            // Property: one batched walk == m single walks, for every
-            // operation, on arbitrary multisets and query sets.
-            let mut t = OsTree::new();
-            for &x in &xs {
-                t.insert(x);
-            }
-            qs.sort_unstable();
-            let (mut le, mut less, mut ranks) = (Vec::new(), Vec::new(), Vec::new());
-            t.multi_count_le(&qs, &mut le);
-            t.multi_count_less(&qs, &mut less);
-            t.multi_rank(&qs, &mut ranks);
-            for ((q, &l), (&ls, &r)) in qs.iter().zip(&le).zip(less.iter().zip(&ranks)) {
-                prop_assert_eq!(l, t.count_le(q));
-                prop_assert_eq!(ls, t.count_less(q));
-                prop_assert_eq!(r, t.rank(q));
-            }
-            let rs: Vec<usize> = (0..=t.len() + 1).collect();
-            let mut sel = Vec::new();
-            t.multi_select(&rs, &mut sel);
-            for (&r, &s) in rs.iter().zip(&sel) {
-                prop_assert_eq!(s, t.select(r));
-            }
-        }
-
-        #[test]
-        fn batched_tags_match_single_lookups(
-            xs in proptest::collection::hash_set(0u64..400, 1..120),
-            mut qs in proptest::collection::vec(0u64..450, 0..60),
-        ) {
-            let mut t = OsTree::new();
-            for (i, &x) in xs.iter().enumerate() {
-                prop_assert!(t.insert_unique_tagged(x, i as u64));
-            }
-            qs.sort_unstable();
-            let mut tags = Vec::new();
-            t.multi_tag_of(&qs, &mut tags);
-            for (q, &tag) in qs.iter().zip(&tags) {
-                prop_assert_eq!(tag, t.tag_of(q));
-            }
-        }
-
-        #[test]
-        fn removed_slots_are_reused(ops in proptest::collection::vec(0u32..40, 1..200)) {
-            // Arena discipline: interleaved insert/remove pairs must not
-            // grow the arena beyond the peak live count.
-            let mut t = OsTree::new();
-            for (i, &x) in ops.iter().enumerate() {
-                t.insert(x);
-                if i % 2 == 1 {
-                    prop_assert!(t.remove(&x));
-                }
-            }
-            let live = t.len();
-            prop_assert!(t.arena_slots() <= ops.len());
-            prop_assert!(t.arena_slots() >= live);
-        }
-    }
-}
-
-#[cfg(all(test, feature = "proptest"))]
-impl<T: Ord> OsTree<T> {
-    /// Total arena slots (live + freed); test-only introspection.
-    fn arena_slots(&self) -> usize {
-        self.nodes.len()
-    }
 }

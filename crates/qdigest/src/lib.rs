@@ -262,59 +262,6 @@ impl QDigest {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn mass_conserved_and_space_bounded(xs in proptest::collection::vec(0u64..4096, 1..3000)) {
-            let mut qd = QDigest::new(12, 0.05);
-            for &x in &xs {
-                qd.insert(x);
-            }
-            qd.compress();
-            let total: u64 = (0..4096).map(|q| {
-                // estimate_rank of universe max counts everything.
-                if q == 4095 { qd.estimate_rank(4095) } else { 0 }
-            }).sum();
-            prop_assert_eq!(total, xs.len() as u64);
-            prop_assert!(qd.node_count() as u64 <= 3 * qd.k() + 2);
-        }
-
-        #[test]
-        fn rank_estimates_never_overcount(xs in proptest::collection::vec(0u64..1024, 1..1000)) {
-            let mut qd = QDigest::new(10, 0.05);
-            let mut sorted = xs.clone();
-            for &x in &xs {
-                qd.insert(x);
-            }
-            sorted.sort_unstable();
-            for q in [0u64, 100, 500, 1023] {
-                let est = qd.estimate_rank(q);
-                let truth = sorted.partition_point(|&x| x <= q) as u64;
-                prop_assert!(est <= truth, "rank({q}): est {est} > true {truth}");
-            }
-        }
-
-        #[test]
-        fn quantile_monotone_in_phi(xs in proptest::collection::vec(0u64..4096, 50..2000)) {
-            let mut qd = QDigest::new(12, 0.05);
-            for &x in &xs {
-                qd.insert(x);
-            }
-            let mut prev = 0u64;
-            for i in 1..=10 {
-                let q = qd.quantile(i as f64 / 10.0);
-                prop_assert!(q >= prev, "quantile not monotone at phi={}", i as f64 / 10.0);
-                prev = q;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,5 +380,76 @@ mod tests {
     fn out_of_universe_rejected() {
         let mut qd = QDigest::new(8, 0.1);
         qd.insert(256);
+    }
+}
+
+/// Properties over seeded random streams: every case draws from a
+/// fixed-seed SplitMix64, so a failure replays exactly.
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use cqs_core::rng::SplitMix64;
+
+    /// A stream of `len_lo..len_hi` values drawn from `0..max`.
+    fn random_stream(rng: &mut SplitMix64, len_lo: u64, len_hi: u64, max: u64) -> Vec<u64> {
+        let len = len_lo + rng.below(len_hi - len_lo);
+        (0..len).map(|_| rng.below(max)).collect()
+    }
+
+    #[test]
+    fn mass_conserved_and_space_bounded() {
+        let mut rng = SplitMix64::new(0xd1);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 1, 3000, 4096);
+            let mut qd = QDigest::new(12, 0.05);
+            for &x in &xs {
+                qd.insert(x);
+            }
+            qd.compress();
+            // The rank of the universe maximum counts everything.
+            assert_eq!(qd.estimate_rank(4095), xs.len() as u64);
+            assert!(qd.node_count() as u64 <= 3 * qd.k() + 2);
+        }
+    }
+
+    #[test]
+    fn rank_estimates_never_overcount() {
+        let mut rng = SplitMix64::new(0xd2);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 1, 1000, 1024);
+            let mut qd = QDigest::new(10, 0.05);
+            for &x in &xs {
+                qd.insert(x);
+            }
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            for q in [0u64, 100, 500, 1023] {
+                let est = qd.estimate_rank(q);
+                let truth = sorted.partition_point(|&x| x <= q) as u64;
+                assert!(est <= truth, "rank({q}): est {est} > true {truth}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_monotone_in_phi() {
+        let mut rng = SplitMix64::new(0xd3);
+        for _ in 0..32 {
+            let xs = random_stream(&mut rng, 50, 2000, 4096);
+            let mut qd = QDigest::new(12, 0.05);
+            for &x in &xs {
+                qd.insert(x);
+            }
+            let mut prev = 0u64;
+            for i in 1..=10 {
+                let q = qd.quantile(f64::from(i) / 10.0);
+                assert!(
+                    q >= prev,
+                    "quantile not monotone at phi={}",
+                    f64::from(i) / 10.0
+                );
+                prev = q;
+            }
+        }
     }
 }

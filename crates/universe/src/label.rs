@@ -183,52 +183,6 @@ fn padded_common_prefix(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Arbitrary valid label: non-empty, no trailing zero.
-    fn label_strategy() -> impl Strategy<Value = Vec<u8>> {
-        (proptest::collection::vec(any::<u8>(), 0..6), 1u8..=255).prop_map(|(mut v, last)| {
-            v.push(last);
-            v
-        })
-    }
-
-    proptest! {
-        #[test]
-        fn between_any_two_valid_labels(a in label_strategy(), b in label_strategy()) {
-            prop_assume!(a != b);
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            let m = between_labels(Some(&lo), Some(&hi));
-            prop_assert!(m.as_slice() > lo.as_slice(), "{m:?} !> {lo:?}");
-            prop_assert!(m.as_slice() < hi.as_slice(), "{m:?} !< {hi:?}");
-            prop_assert!(*m.last().unwrap() != 0);
-        }
-
-        #[test]
-        fn between_one_sided(a in label_strategy()) {
-            let above = between_labels(Some(&a), None);
-            prop_assert!(above.as_slice() > a.as_slice());
-            let below = between_labels(None, Some(&a));
-            prop_assert!(below.as_slice() < a.as_slice());
-        }
-
-        #[test]
-        fn repeated_bisection_from_random_pair(a in label_strategy(), b in label_strategy()) {
-            prop_assume!(a != b);
-            let (mut lo, hi) = if a < b { (a, b) } else { (b, a) };
-            // 64 nested bisections toward hi must all succeed.
-            for _ in 0..64 {
-                let m = between_labels(Some(&lo), Some(&hi));
-                prop_assert!(lo < m && m < hi);
-                lo = m;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,13 +11,9 @@
 //! A [`RunGenerator`] exploits this: it stores only the interval
 //! endpoints and the count, and answers
 //!
-//! * [`label_at`](RunGenerator::label_at) — the `j`-th label of the run,
-//! * [`count_less`](RunGenerator::count_less) /
-//!   [`count_le`](RunGenerator::count_le) — how many run labels compare
-//!   below a probe, and
-//! * [`index_of`](RunGenerator::index_of) — the index of an exact label,
-//!   and [`position`](RunGenerator::position) — both answers from one
-//!   descent,
+//! * [`label_at`](RunGenerator::label_at) — the `j`-th label of the run, and
+//! * [`position`](RunGenerator::position) — the index of an exact label,
+//!   or else how many run labels compare below the probe,
 //!
 //! each in O(log n) midpoint computations, by descending the same
 //! subdivision the minting walk performed. Every answer is
@@ -129,28 +125,11 @@ impl RunGenerator {
         Item::from_label(self.label_at(j))
     }
 
-    /// How many of the run's virtual items have labels strictly below
-    /// `q`. The probe may be any byte string, inside the interval or
-    /// not.
-    pub fn count_less(&self, q: &[u8]) -> u64 {
-        self.position(q).unwrap_or_else(|below| below)
-    }
-
-    /// How many of the run's virtual items have labels `<= q`.
-    pub fn count_le(&self, q: &[u8]) -> u64 {
-        self.position(q).map_or_else(|below| below, |idx| idx + 1)
-    }
-
-    /// The in-run index of the virtual item with label exactly `q`, if
-    /// the run contains one.
-    pub fn index_of(&self, q: &[u8]) -> Option<u64> {
-        self.position(q).ok()
-    }
-
     /// Where `q` falls in the run, in the shape of
     /// [`slice::binary_search`]: `Ok(index)` when a run label equals
     /// `q`, else `Err(number of run labels below q)` — membership and
-    /// rank from one descent.
+    /// rank from one descent. The probe may be any byte string, inside
+    /// the interval or not.
     ///
     /// The descent compares the probe against each level's midpoint
     /// label: an equal probe *is* the level's emitted label (in-run index
@@ -208,19 +187,13 @@ mod tests {
                 it.label(),
                 "label_at({j}) diverged from materialized run"
             );
-            assert_eq!(gen.index_of(it.label()), Some(j as u64));
             assert_eq!(gen.position(it.label()), Ok(j as u64));
-            assert_eq!(gen.count_less(it.label()), j as u64);
-            assert_eq!(gen.count_le(it.label()), j as u64 + 1);
             assert_eq!(gen.item_at(j as u64), *it);
         }
         // Probes strictly between adjacent run items.
         for w in items.windows(2) {
             let probe = crate::between_labels(Some(w[0].label()), Some(w[1].label()));
-            let r = gen.count_less(w[1].label());
-            assert_eq!(gen.count_less(&probe), r);
-            assert_eq!(gen.count_le(&probe), r);
-            assert_eq!(gen.index_of(&probe), None);
+            let r = gen.position(w[1].label()).expect("run item");
             assert_eq!(gen.position(&probe), Err(r));
         }
     }
@@ -255,14 +228,11 @@ mod tests {
         let a = Item::from_label(vec![50]);
         let b = Item::from_label(vec![60]);
         let gen = RunGenerator::new(&Interval::open(a.clone(), b.clone()), 33);
-        assert_eq!(gen.count_less(a.label()), 0);
-        assert_eq!(gen.count_le(a.label()), 0);
-        assert_eq!(gen.count_less(b.label()), 33);
-        assert_eq!(gen.count_le(b.label()), 33);
-        assert_eq!(gen.count_less(&[0]), 0);
-        assert_eq!(gen.count_less(&[255]), 33);
-        assert_eq!(gen.index_of(a.label()), None);
-        assert_eq!(gen.index_of(&[0, 1]), None);
+        assert_eq!(gen.position(a.label()), Err(0));
+        assert_eq!(gen.position(b.label()), Err(33));
+        assert_eq!(gen.position(&[0]), Err(0));
+        assert_eq!(gen.position(&[255]), Err(33));
+        assert_eq!(gen.position(&[0, 1]), Err(0));
     }
 
     #[test]

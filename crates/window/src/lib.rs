@@ -251,42 +251,37 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+/// Properties over seeded random streams: every case draws from a
+/// fixed-seed SplitMix64, so a failure replays exactly.
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use cqs_core::rng::SplitMix64;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn window_median_within_combined_budget(
-            shift in 0u64..50_000,
-            seed in 0u64..1000,
-        ) {
-            let window = 4_096u64;
-            let buckets = 16u64;
-            let eps = 0.02;
+    #[test]
+    fn window_median_within_combined_budget() {
+        let mut rng = SplitMix64::new(0xe1);
+        let (window, buckets, eps) = (4_096u64, 16u64, 0.02);
+        for _ in 0..8 {
+            let shift = rng.below(50_000);
             let mut w = SlidingWindowGk::new(eps, window, buckets);
             let n = 30_000u64;
-            let mut s = seed | 1;
             let mut vals = Vec::with_capacity(n as usize);
             for i in 0..n {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let v = (s >> 33) % 100_000 + shift + i; // drifting values
+                let v = rng.below(100_000) + shift + i; // drifting values
                 w.insert(v);
                 vals.push(v);
             }
             // Ground truth over the exact window plus the straddling
             // chunk slop.
-            let tail: Vec<u64> = vals[(n - window) as usize..].to_vec();
-            let mut sorted = tail.clone();
+            let mut sorted = vals[(n - window) as usize..].to_vec();
             sorted.sort_unstable();
-            let ans = w.quantile(0.5).unwrap();
+            let ans = w.quantile(0.5).expect("non-empty");
             let pos = sorted.partition_point(|&x| x <= ans) as i64;
             let target = (window / 2) as i64;
             // Budget: 2ε·W (merge) + W/b (chunk slop) + rounding.
             let budget = (2.0 * eps * window as f64) as i64 + (window / buckets) as i64 + 8;
-            prop_assert!(
+            assert!(
                 (pos - target).abs() <= budget,
                 "median {ans}: pos {pos} vs target {target} (budget {budget})"
             );

@@ -129,9 +129,6 @@ pub const HOT_PATH_FNS: &[&str] = &[
     // scans and equivalence checks funnel every per-leaf query through
     // these, so they face the same adversarial input as insert/query.
     "multi_count_le",
-    "multi_count_less",
-    "multi_rank",
-    "multi_select",
     "multi_tag_of",
     "multi_locate",
 ];
@@ -323,14 +320,7 @@ mod tests {
 
     #[test]
     fn batched_walks_are_hot_path_roots() {
-        for f in [
-            "multi_count_le",
-            "multi_count_less",
-            "multi_rank",
-            "multi_select",
-            "multi_tag_of",
-            "multi_locate",
-        ] {
+        for f in ["multi_count_le", "multi_tag_of", "multi_locate"] {
             assert!(HOT_PATH_FNS.contains(&f), "{f} missing from hot-path roots");
         }
     }

@@ -327,8 +327,8 @@ fn classify(rel: &str) -> Option<(&str, &str)> {
 }
 
 /// Files under tests/, benches/, or examples/ of their crate: test-only
-/// code, exempt from the library rules (the engine still parses them so
-/// `transmute` and friends are caught if they ever apply).
+/// code, exempt from the library rules (the engine still parses them, so
+/// rules that apply to test code see them).
 fn is_test_path(in_crate: &str) -> bool {
     in_crate.starts_with("tests/")
         || in_crate.starts_with("benches/")
@@ -438,7 +438,7 @@ mod tests {
         report.diagnostics.push(Diagnostic {
             file: "x.rs".into(),
             line: 2,
-            rule: "transmute",
+            rule: "item-bits",
             severity: Severity::Error,
             message: "m".into(),
             baselined: false,

@@ -6,7 +6,8 @@
 //! stream alone; the lower bound's adversary (and the indistinguish-
 //! ability argument behind Lemma 3.4) collapses the moment a summary
 //! inspects an item's representation. These rules keep the summary
-//! crates inside that model.
+//! crates inside that model. (`mem::transmute` needs `unsafe`, which
+//! `[workspace.lints.rust] unsafe_code = "forbid"` already rejects.)
 
 use super::super::config::Role;
 use super::super::scanner::contains_word;
@@ -68,15 +69,6 @@ static ITEM_BITS: Rule = Rule {
     check: check_item_bits,
 };
 
-static TRANSMUTE: Rule = Rule {
-    id: "transmute",
-    severity: Severity::Error,
-    rationale: "transmute can reinterpret items as numbers (and is unsafe besides); \
-                never model-conformant",
-    applies: |_| true,
-    check: check_transmute,
-};
-
 static ITEM_MINT: Rule = Rule {
     id: "item-mint",
     severity: Severity::Error,
@@ -88,7 +80,7 @@ static ITEM_MINT: Rule = Rule {
 
 /// The comparison-model rule set.
 pub fn rules() -> Vec<&'static Rule> {
-    vec![&ITEM_ARITHMETIC, &ITEM_BITS, &TRANSMUTE, &ITEM_MINT]
+    vec![&ITEM_ARITHMETIC, &ITEM_BITS, &ITEM_MINT]
 }
 
 fn check_item_arithmetic(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
@@ -134,19 +126,6 @@ fn check_item_bits(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
                 );
                 break;
             }
-        }
-    }
-}
-
-fn check_transmute(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for line in &ctx.file.lines {
-        if contains_word(&line.code, "transmute") {
-            ctx.emit(
-                out,
-                &TRANSMUTE,
-                line.number,
-                "mem::transmute is forbidden everywhere in this workspace".to_string(),
-            );
         }
     }
 }

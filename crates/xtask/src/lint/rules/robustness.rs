@@ -6,26 +6,21 @@
 //! the shared-state audit (`sharding-send-sync`) moved to the
 //! call-graph [`analysis`](super::super::analysis) passes — name lists
 //! could not see helpers, and the hand-maintained type table could not
-//! see new pool call sites. What remains lexical here: memory safety
-//! must be declared at the crate root, raw float equality is forbidden
+//! see new pool call sites. What remains lexical here: the crate root
+//! must declare its docs policy, raw float equality is forbidden
 //! (`OrdF64` in cqs-streams exists precisely so ordering and equality
 //! agree via `total_cmp`), and hot paths should not heap-allocate per
 //! call — the batched insert APIs and reusable scratch buffers exist so
-//! that they never have to.
+//! that they never have to. Memory safety needs no rule: the workspace
+//! manifest sets `unsafe_code = "forbid"`, and `tests/conformance.rs`
+//! checks that every member inherits it. `float-eq` stays although
+//! clippy has `float_cmp`: clippy exempts comparisons against zero, and
+//! clippy is not part of tier-1.
 
 use super::super::config::{Role, HOT_PATH_FNS};
 use super::super::scanner::contains_word;
 use super::{Rule, RuleCtx};
 use crate::lint::{Diagnostic, Severity};
-
-static FORBID_UNSAFE: Rule = Rule {
-    id: "forbid-unsafe",
-    severity: Severity::Error,
-    rationale: "every library crate must declare #![forbid(unsafe_code)] so the no-unsafe \
-                guarantee is local and survives workspace-config drift",
-    applies: |_| true,
-    check: check_forbid_unsafe,
-};
 
 static MISSING_DOCS_ATTR: Rule = Rule {
     id: "missing-docs-attr",
@@ -67,31 +62,11 @@ static SNAPSHOT_ATOMICITY: Rule = Rule {
 /// The robustness rule set.
 pub fn rules() -> Vec<&'static Rule> {
     vec![
-        &FORBID_UNSAFE,
         &MISSING_DOCS_ATTR,
         &HOT_PATH_ALLOC,
         &FLOAT_EQ,
         &SNAPSHOT_ATOMICITY,
     ]
-}
-
-fn check_forbid_unsafe(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_lib_root {
-        return;
-    }
-    let found = ctx
-        .file
-        .lines
-        .iter()
-        .any(|l| l.code.contains("#![forbid(unsafe_code)]"));
-    if !found {
-        ctx.emit(
-            out,
-            &FORBID_UNSAFE,
-            1,
-            "crate root lacks #![forbid(unsafe_code)]".to_string(),
-        );
-    }
 }
 
 fn check_missing_docs_attr(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {

@@ -1,4 +1,4 @@
-//! Fixture: a "summary" that leaves the comparison model four ways.
+//! Fixture: a "summary" that leaves the comparison model three ways.
 //! Never compiled — scanned by the rule tests in ../rules.rs.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,10 +12,6 @@ pub struct Sketch<T> {
 impl<T: Ord + Add<Output = T>> Sketch<T> {
     pub fn centroid_weight(&self, x: f64) -> u64 {
         x.to_bits()
-    }
-
-    pub fn sneak(&self, x: u64) -> u64 {
-        unsafe { std::mem::transmute::<u64, u64>(x) }
     }
 
     pub fn invent(&self) -> Vec<u8> {

@@ -1,11 +1,12 @@
 //! Batched-insert equivalence: the bulk hot paths added for throughput
-//! (`OsTree::extend_sorted`, the GK one-pass sorted-run merge, and the
-//! adversary's batched leaves) must be *observationally identical* to
-//! the per-item paths they replace — same order-statistic answers, same
-//! tuples, same audit trail, byte for byte.
+//! (`OsTree::extend_sorted_tagged`, the GK one-pass sorted-run merge, and
+//! the adversary's batched leaves in `Adversary::run`) must be
+//! *observationally identical* to the per-item paths they replace —
+//! same order-statistic answers, same tuples, same audit trail, byte for
+//! byte.
 
 use cqs::prelude::*;
-use cqs_core::adversary::{Adversary, InsertMode};
+use cqs_core::adversary::Adversary;
 use cqs_core::reference::ExactSummary;
 use cqs_gk::{GkSummary, GreedyGk};
 use cqs_ostree::OsTree;
@@ -32,33 +33,39 @@ fn ostree_extend_sorted_equivalent_to_per_item_insert() {
         Workload::Sawtooth,
         Workload::Zipf,
     ] {
-        let values = workload(which, 4_000, SEED).expect("workload");
+        // The adversary feeds distinct items only: keep each value's
+        // first arrival, tagged with its arrival position.
+        let mut seen = std::collections::BTreeSet::new();
+        let values: Vec<u64> = workload(which, 4_000, SEED)
+            .expect("workload")
+            .into_iter()
+            .filter(|&x| seen.insert(x))
+            .collect();
         for chunk in [1usize, 7, 64, 1000] {
             let mut bulk = OsTree::with_seed(9);
             let mut single = OsTree::with_seed(9);
             for run in chunks_of(&values, chunk) {
-                bulk.extend_sorted(run.iter().copied());
+                bulk.extend_sorted_tagged(run.iter().map(|&x| (x, x)));
                 for &x in &run {
-                    single.insert(x);
+                    assert!(single.insert_unique_tagged(x, x));
                 }
             }
             assert_eq!(bulk.len(), single.len(), "{which:?}/{chunk}");
-            let a: Vec<u64> = bulk.iter().copied().collect();
-            let b: Vec<u64> = single.iter().copied().collect();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            bulk.for_each_tagged(&mut |&x, tag| a.push((x, tag)));
+            single.for_each_tagged(&mut |&x, tag| b.push((x, tag)));
             assert_eq!(a, b, "{which:?}/{chunk}: in-order traversal diverged");
             let probes = [0u64, 1, 5, 100, 2_000, 3_999, 4_000, u64::MAX];
             for q in probes {
-                assert_eq!(bulk.rank(&q), single.rank(&q), "{which:?}/{chunk} rank {q}");
+                assert_eq!(
+                    bulk.count_less(&q),
+                    single.count_less(&q),
+                    "{which:?}/{chunk} rank {q}"
+                );
                 assert_eq!(bulk.count_le(&q), single.count_le(&q));
                 assert_eq!(bulk.successor(&q), single.successor(&q));
                 assert_eq!(bulk.predecessor(&q), single.predecessor(&q));
-            }
-            for r in (1..=bulk.len()).step_by(97) {
-                assert_eq!(
-                    bulk.select(r),
-                    single.select(r),
-                    "{which:?}/{chunk} select {r}"
-                );
+                assert_eq!(bulk.tag_of(&q), single.tag_of(&q));
             }
         }
     }
@@ -179,22 +186,21 @@ fn gk_batch_insert_handles_duplicate_values() {
     }
 }
 
-/// The adversary's batched leaves must leave *no trace* in the audits:
-/// every recursion-tree node's record — gaps, S_k, Claim 1, Lemma 5.2,
-/// the space-gap RHS — is byte-identical to the per-item run, as is the
-/// flat report.
+/// The adversary's batched leaves (`run`, one `insert_sorted_run` per
+/// leaf) must leave *no trace* in the audits: every recursion-tree
+/// node's record — gaps, S_k, Claim 1, Lemma 5.2, the space-gap RHS — is
+/// byte-identical to the per-item run of the panic-free driver
+/// (`try_run`, one guarded `insert` per item), as is the flat report.
 fn assert_adversary_modes_agree<S, F>(label: &str, eps_inv: u64, k: u32, make: F)
 where
     S: ComparisonSummary<Item>,
     F: Fn() -> S,
 {
     let eps = Eps::from_inverse(eps_inv);
-    let batched = Adversary::new(eps, make(), make())
-        .with_insert_mode(InsertMode::Batched)
-        .run(k);
+    let batched = Adversary::new(eps, make(), make()).run(k);
     let per_item = Adversary::new(eps, make(), make())
-        .with_insert_mode(InsertMode::PerItem)
-        .run(k);
+        .try_run(k)
+        .unwrap_or_else(|e| panic!("{label}: per-item run aborted: {e}"));
     assert_eq!(
         format!("{:?}", batched.audits),
         format!("{:?}", per_item.audits),

@@ -82,14 +82,20 @@ fn every_summary_crate_holds_a_purity_certificate() {
     assert_eq!(status("qdigest"), CertStatus::Refused);
 }
 
+/// The body of a manifest's `[name]` table, if it has one.
+fn manifest_table(manifest: &str, name: &str) -> Option<String> {
+    let header = format!("{name}]");
+    format!("\n{manifest}")
+        .split("\n[")
+        .find(|t| t.starts_with(&header))
+        .map(|t| t[header.len()..].to_string())
+}
+
 /// The quoted entries of the root manifest's `key = [...]` array in its
 /// `[workspace]` table (one-line arrays, as the manifest writes them).
 fn workspace_array(manifest: &str, key: &str) -> Vec<String> {
-    let table = format!("\n{manifest}")
-        .split("\n[")
-        .find(|t| t.starts_with("workspace]"))
-        .map(String::from)
-        .expect("root manifest has a [workspace] table");
+    let table =
+        manifest_table(manifest, "workspace").expect("root manifest has a [workspace] table");
     let line = table
         .lines()
         .find(|l| l.split('=').next().map(str::trim) == Some(key))
@@ -144,5 +150,31 @@ fn every_workspace_member_is_a_default_member() {
     assert!(
         defaults.iter().any(|d| d == "."),
         "the root package must stay a default member"
+    );
+}
+
+#[test]
+fn every_manifest_inherits_the_workspace_lints() {
+    // `[workspace.lints]` forbids unsafe code and sets the clippy floor,
+    // but only for packages that opt in with `[lints] workspace = true`;
+    // a manifest that drops the table silently loses both.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let mut packages = expand_members(&root, &workspace_array(&manifest, "members"));
+    packages.push(".".to_string());
+    let missing: Vec<&String> = packages
+        .iter()
+        .filter(|p| {
+            let text = std::fs::read_to_string(root.join(p).join("Cargo.toml"))
+                .unwrap_or_else(|e| panic!("{p}/Cargo.toml: {e}"));
+            !manifest_table(&text, "lints").is_some_and(|t| {
+                t.lines()
+                    .any(|l| l.split_whitespace().collect::<String>() == "workspace=true")
+            })
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "manifests without `[lints] workspace = true`: {missing:?}"
     );
 }

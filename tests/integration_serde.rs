@@ -1,12 +1,7 @@
 //! Checkpoint/restore: the deterministic summaries round-trip through
 //! the `cqs-snapshot` wire format and continue the stream exactly where
-//! they left off.
-//!
-//! Historical note: this suite used to be gated behind a
-//! `serde-summaries` cargo feature and external serde derives. Snapshots
-//! now come from the in-tree dependency-free wire format and are always
-//! compiled; the feature flag survives only as a no-op (see the root
-//! `Cargo.toml`).
+//! they left off. Snapshots come from the in-tree dependency-free wire
+//! format and are always compiled.
 
 use cqs::prelude::*;
 use cqs_snapshot::{RestoreError, SnapshotRead, SnapshotWrite};
