@@ -85,7 +85,7 @@ large_n_smoke() {
     # uninterrupted, then crashed right after its checkpoint write
     # (exit 86) and resumed — the resumed CSV must be byte-identical.
     # This is the only CI leg that exercises the implicit representation
-    # past the materialized treap's u32 per-item arena ceiling.
+    # at a size whose stored runs would need more than 10 GB.
     local root=target/large-n-smoke
     rm -rf "$root"
     CQS_RESULTS_DIR="$root/base" \

@@ -447,10 +447,8 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             self.pi.is_empty() && self.rho.is_empty(),
             "stream representation must be chosen before any item is fed"
         );
-        let pi = self.pi.summary;
-        let rho = self.rho.summary;
-        self.pi = StreamState::with_repr(pi, repr);
-        self.rho = StreamState::with_repr(rho, repr);
+        self.pi.set_repr(repr);
+        self.rho.set_repr(repr);
         self
     }
 
@@ -466,7 +464,6 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// bulk.
     pub fn run(mut self, k: u32) -> AdversaryOutcome<S> {
         assert!(k >= 1);
-        self.reserve_streams(k);
         let whole = Interval::whole();
         self.adv(k, &whole, &whole);
         AdversaryOutcome {
@@ -523,11 +520,10 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
                 return Err(self.into_error(TryAbort::Budget { detail }, k));
             }
         }
-        self.reserve_streams(k);
         let whole = Interval::whole();
         let walked = {
             let this = &mut self;
-            // Backstop: the driver's own invariants (treap distinctness,
+            // Backstop: the driver's own invariants (stream distinctness,
             // equal restricted-array lengths, …) are stated as asserts
             // that a sufficiently mendacious summary can trip; any such
             // escape is, by construction, evidence the summary left the
@@ -606,24 +602,6 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// Node audits accumulated so far (post-order).
     pub fn audits(&self) -> &[NodeAudit] {
         &self.audits
-    }
-
-    /// Pre-sizes both stream indexes for the N = (1/ε)·2^k items the
-    /// depth-`k` construction will feed them. Capped so a deep run that
-    /// a budget (or memory itself) would stop early doesn't pre-commit
-    /// the whole theoretical stream length; past the cap the arena
-    /// falls back to doubling.
-    fn reserve_streams(&mut self, k: u32) {
-        const RESERVE_CAP: u64 = 1 << 21;
-        let n = usize::try_from(
-            self.eps
-                .try_stream_len(k)
-                .unwrap_or(u64::MAX)
-                .min(RESERVE_CAP),
-        )
-        .unwrap_or(0);
-        self.pi.reserve_items(n);
-        self.rho.reserve_items(n);
     }
 
     /// One node of the recursion tree; returns the node's final gap info
@@ -778,9 +756,9 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     }
 
     /// Panic-free leaf: enforces the step budget up front, indexes the
-    /// run in both treaps (so rank machinery stays coherent even if the
-    /// summary dies mid-run), then feeds item by item with each `insert`
-    /// guarded. After the run: space-understatement probe, the full
+    /// run in both stream indexes (so rank machinery stays coherent even
+    /// if the summary dies mid-run), then feeds item by item with each
+    /// `insert` guarded. After the run: space-understatement probe, the full
     /// Definition 3.2 check, and the stored-items budget.
     fn try_leaf(&mut self, iv_pi: &Interval, iv_rho: &Interval) -> Result<(), TryAbort> {
         let n = self.eps.leaf_items() as usize;
@@ -796,10 +774,9 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             }
         }
         // Capacity guards, checked before minting so nothing is wasted
-        // on a doomed leaf. All three are typed `Exhausted` aborts (the
-        // run's prefix is salvaged into a `PartialRun`), never silent
-        // wraparound: the arena mint counter, the implicit run-id
-        // space, and — materialized only — the u32 treap arena links.
+        // on a doomed leaf. Both are typed `Exhausted` aborts (the run's
+        // prefix is salvaged into a `PartialRun`), never silent
+        // wraparound: the arena mint counter and the run-id space.
         if cqs_universe::ids_exhausted() {
             return Err(TryAbort::Exhausted {
                 detail: "label arena mint ids exhausted (2^32 items minted across this \
@@ -809,19 +786,7 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
         }
         if self.pi.runs_exhausted() || self.rho.runs_exhausted() {
             return Err(TryAbort::Exhausted {
-                detail: "implicit stream run-id space exhausted (2^32 - 1 runs)".to_string(),
-            });
-        }
-        if self.repr() == StreamRepr::Materialized
-            && self.pi.len() + n as u64 >= u64::from(u32::MAX)
-        {
-            return Err(TryAbort::Exhausted {
-                detail: format!(
-                    "materialized stream index cannot address the next leaf: {} items \
-                     indexed, {n} more would overflow the u32 arena; rerun with \
-                     StreamRepr::Implicit",
-                    self.pi.len()
-                ),
+                detail: "stream run-id space exhausted (2^32 - 1 runs)".to_string(),
             });
         }
         let (items_pi, items_rho) = self.mint_leaf_runs(iv_pi, iv_rho, n);
@@ -1084,8 +1049,8 @@ where
 /// [`try_run_adversary`] with an explicit stream representation.
 /// `StreamRepr::Implicit` keeps both order indexes interval-compressed
 /// (memory sublinear in N for summaries that store o(N) items), which
-/// is what lets the sweep drive N = 10⁸–10⁹ cells; `Materialized` is
-/// byte-for-byte the classic treap path.
+/// is what lets the sweep drive N = 10⁸–10⁹ cells; `Materialized` keeps
+/// every run's items and reports byte-for-byte the same.
 pub fn try_run_adversary_repr<S, F>(
     eps: Eps,
     k: u32,
@@ -1325,7 +1290,7 @@ mod tests {
     fn implicit_streams_reproduce_the_materialized_report() {
         // The tentpole honesty check at unit scale: the
         // interval-compressed representation must be observationally
-        // identical to the treap — same audits, same report, same
+        // identical to the stored runs — same audits, same report, same
         // verdict — because the summary sees the very same items in the
         // very same order and every rank/tag query resolves through
         // Definition 3.2-equivalent answers.

@@ -56,7 +56,6 @@ pub mod eps;
 pub mod failure;
 pub mod gap;
 pub mod histogram;
-mod implicit;
 pub mod median;
 pub mod merge;
 pub mod model;
@@ -66,6 +65,7 @@ pub mod rank_estimation;
 pub mod reference;
 pub mod refine;
 pub mod rng;
+mod run_order;
 pub mod spacegap;
 pub mod state;
 mod tag_cache;

@@ -146,11 +146,16 @@ pub fn quantile_reduction<S: ComparisonSummary<Item>>(
             )
         }
     };
-    let pad_pi = generate_increasing(&pad_interval(&outcome.pi), m as usize);
-    let pad_rho = generate_increasing(&pad_interval(&outcome.rho), m as usize);
+    // Each side's pad is one run: indexed once, then fed item by item,
+    // so the summaries see exactly the per-item inserts of the padding.
+    let (iv_pi, iv_rho) = (pad_interval(&outcome.pi), pad_interval(&outcome.rho));
+    let pad_pi = generate_increasing(&iv_pi, m as usize);
+    let pad_rho = generate_increasing(&iv_rho, m as usize);
+    outcome.pi.index_run_in(&iv_pi, &pad_pi);
+    outcome.rho.index_run_in(&iv_rho, &pad_rho);
     for (a, b) in pad_pi.into_iter().zip(pad_rho) {
-        outcome.pi.push(a);
-        outcome.rho.push(b);
+        outcome.pi.feed_summary(a);
+        outcome.rho.feed_summary(b);
     }
 
     let total = n + m;

@@ -1,0 +1,662 @@
+//! The stream's order index: order statistics over runs, not items.
+//!
+//! The adversary's stream is a concatenation of *runs*: every leaf
+//! appends 2/ε fresh items, minted by [`cqs_universe::generate_increasing`]
+//! inside one open interval between order-adjacent stream items (or
+//! ±∞). In label order the stream is therefore a sequence of contiguous
+//! blocks of runs, and an index over those blocks answers the paper's
+//! `rank_σ(a)`, `next(σ, a)`, `prev(σ, b)` and arrival tags with one
+//! entry per block — each refinement splits at most one block, so there
+//! are fewer than twice as many blocks as the 2^{k-1} runs — instead of
+//! one entry per item (N = (1/ε)·2^k).
+//!
+//! [`RunOrder`] keeps a fragment treap ([`RunTree`]) ordering the runs'
+//! contiguous blocks by label with cached counts, each run's arrival tag
+//! of its item 0, and a [`RunSource`] per run that answers lookups
+//! inside the run:
+//!
+//! * [`RunSource::Stored`] keeps the run's minted items
+//!   ([`StreamRepr::Materialized`](crate::state::StreamRepr)): Θ(N)
+//!   resident items, and a lookup is a binary search over at most 2/ε
+//!   of them.
+//! * [`RunSource::Generated`] keeps a [`RunGenerator`]
+//!   ([`StreamRepr::Implicit`](crate::state::StreamRepr)): a run is a
+//!   pure function of its interval and count, so the generator replays
+//!   the deterministic mint on demand and memory is sublinear in N —
+//!   what lets the Theorem 2.2 sweep verify the Ω((1/ε)·log εN) shape at
+//!   N = 10⁸–10⁹ on one machine.
+//!
+//! A bounded direct-mapped id → arrival-tag cache ([`TagCache`]) lets the
+//! hot queries — rank and arrival tag of summary-retained items — skip
+//! the in-run lookup altogether. A rank query is one fragment descent (a
+//! batch of them, one [`RunTree::multi_locate`] walk) plus an O(1) cache
+//! lookup for the offset inside the fragment. Both sources answer
+//! byte-identically for the same stream, because the generator replays
+//! the very subdivision that minted the stored items (the differential
+//! suite in `cqs-bench` pins this end to end).
+
+use cqs_ostree::{Fragment, Locate, RunTree};
+use cqs_universe::{Endpoint, Interval, Item, RunGenerator};
+
+use crate::tag_cache::TagCache;
+
+/// Where one run's items come from.
+pub(crate) enum RunSource {
+    /// The run's minted items, resident in label order.
+    Stored(Box<[Item]>),
+    /// The label oracle that replays the run's mint on demand.
+    Generated(RunGenerator),
+}
+
+impl RunSource {
+    /// The run's `j`-th item in label order: a clone of the stored item,
+    /// or a fresh mint that compares equal to the original arrival.
+    fn item_at(&self, j: u64) -> Option<Item> {
+        match self {
+            RunSource::Stored(items) => usize::try_from(j).ok().and_then(|j| items.get(j)).cloned(),
+            RunSource::Generated(g) => (j < g.count()).then(|| g.item_at(j)),
+        }
+    }
+}
+
+/// One run of the stream.
+struct Run {
+    /// Global arrival tag of the run's item 0: runs arrive whole, so the
+    /// tag of its `j`-th item is `start + j`.
+    start: u64,
+    source: RunSource,
+}
+
+/// The run-fragment order index. See the module docs.
+pub(crate) struct RunOrder {
+    /// Indexed by the `run` field of fragments.
+    runs: Vec<Run>,
+    /// Fragments of contiguous in-run index ranges, in label order.
+    tree: RunTree<Item>,
+    /// Total items (= stream length so far).
+    len: u64,
+    /// Id → arrival tag fast path, seeded with every run as it arrives
+    /// and re-seeded by every in-run lookup that finds a stream item.
+    cache: TagCache,
+}
+
+impl RunOrder {
+    pub(crate) fn new() -> Self {
+        RunOrder {
+            runs: Vec::new(),
+            tree: RunTree::new(),
+            len: 0,
+            cache: TagCache::default(),
+        }
+    }
+
+    /// An index whose tag cache has `cap` slots — small capacities force
+    /// constant evictions, which the collision tests rely on.
+    #[cfg(test)]
+    pub(crate) fn with_cache_capacity(cap: usize) -> Self {
+        RunOrder {
+            cache: TagCache::with_capacity(cap),
+            ..Self::new()
+        }
+    }
+
+    /// An index over a whole stream given as `(item, arrival tag)` pairs
+    /// in label order, which the caller has validated (strictly
+    /// increasing items, tags a permutation of `0..pairs.len()`). Each
+    /// maximal stretch whose tags rise by exactly 1 becomes one stored
+    /// run. Returns `None` if the stretches overflow the `u32` run-id
+    /// space.
+    pub(crate) fn from_sorted_tagged(pairs: Vec<(Item, u64)>) -> Option<Self> {
+        let mut order = Self::new();
+        let mut stretch: Vec<Item> = Vec::new();
+        let mut start = 0;
+        let mut pairs = pairs.into_iter().peekable();
+        while let Some((item, tag)) = pairs.next() {
+            if stretch.is_empty() {
+                start = tag;
+            }
+            if let Some(id) = item.arena_id() {
+                order.cache.set(id, tag);
+            }
+            stretch.push(item);
+            if pairs
+                .peek()
+                .is_some_and(|(_, next)| tag.checked_add(1) == Some(*next))
+            {
+                continue;
+            }
+            if order.runs_exhausted() {
+                return None;
+            }
+            let items = std::mem::take(&mut stretch).into_boxed_slice();
+            if let (Some(lo), Some(hi)) = (items.first().cloned(), items.last().cloned()) {
+                order.push_run(start, lo, hi, RunSource::Stored(items));
+            }
+        }
+        Some(order)
+    }
+
+    /// Number of items indexed.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Number of fragments — the index's resident footprint driver.
+    #[cfg(test)]
+    pub(crate) fn fragment_count(&self) -> usize {
+        self.tree.fragment_count()
+    }
+
+    /// Appends a run of strictly increasing fresh `items`, minted inside
+    /// the open interval `iv`, whose closed span holds no stream item;
+    /// `source` answers lookups inside the run from then on.
+    ///
+    /// The run lands between two adjacent stream items, so at most one
+    /// fragment — the one whose label span contains the run — needs
+    /// splitting. The adversary mints between order-adjacent items, so
+    /// splitting after `iv`'s low endpoint, a stream item the cache
+    /// knows, finds the cut with no in-run lookup; the split around the
+    /// run's first item then covers any looser interval, and in the
+    /// adversary's case is one descent that hits no fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run table would exceed the fragment treap's `u32`
+    /// run-id space; callers on the panic-free driver path check
+    /// [`Self::runs_exhausted`] before minting.
+    pub(crate) fn insert_run(&mut self, iv: &Interval, items: &[Item], source: RunSource) {
+        let Some((first, last)) = items.first().zip(items.last()) else {
+            return;
+        };
+        assert!(
+            !self.runs_exhausted(),
+            "stream exhausted the u32 run-id space"
+        );
+        if let Endpoint::Finite(a) = iv.lo() {
+            self.split_around(a);
+        }
+        self.split_around(first);
+        let start = self.len;
+        for (j, it) in (start..).zip(items) {
+            if let Some(id) = it.arena_id() {
+                self.cache.set(id, j);
+            }
+        }
+        self.push_run(start, first.clone(), last.clone(), source);
+    }
+
+    /// Registers a run that overlaps no fragment as one whole fragment.
+    fn push_run(&mut self, start: u64, lo: Item, hi: Item, source: RunSource) {
+        let count = match &source {
+            RunSource::Stored(items) => items.len() as u64,
+            RunSource::Generated(g) => g.count(),
+        };
+        self.tree.insert_fragment(Fragment {
+            lo,
+            hi,
+            count,
+            run: self.runs.len() as u32,
+            base: 0,
+        });
+        self.runs.push(Run { start, source });
+        self.len += count;
+    }
+
+    /// Whether one more run can be registered without overflowing the
+    /// `u32` run-id space.
+    pub(crate) fn runs_exhausted(&self) -> bool {
+        self.runs.len() >= u32::MAX as usize
+    }
+
+    /// Splits the fragment whose label span holds `q` below its `hi`, so
+    /// that `q` ends up on a fragment boundary: a stream item becomes the
+    /// left piece's `hi`, any other item falls between the two pieces.
+    /// No-op when no fragment's span holds `q` or `q` already is a
+    /// fragment's `hi`.
+    fn split_around(&mut self, q: &Item) {
+        // `Ok` carries q's in-run index, `Err` the run items below q; the
+        // cut is the in-run index of the first item above q.
+        let (cut, q_is_item) = match self.tree.locate(q).hit {
+            Some(f) if *q < f.hi => match self.position_in(f, q) {
+                Ok(idx) => (idx + 1, true),
+                Err(below) => (below, false),
+            },
+            _ => return,
+        };
+        // A locate hit guarantees the removal and both lookups succeed;
+        // on the guarded driver path a malformed index still degrades to
+        // a no-op (reinserting what was removed) rather than unwind.
+        let Some(f) = self.tree.remove_containing(q) else {
+            return;
+        };
+        let pieces = self
+            .runs
+            .get(f.run as usize)
+            .filter(|_| cut > f.base && cut < f.base + f.count)
+            .and_then(|run| {
+                let left_hi = if q_is_item {
+                    Some(q.clone())
+                } else {
+                    run.source.item_at(cut - 1)
+                };
+                left_hi.zip(run.source.item_at(cut))
+            });
+        let Some((left_hi, right_lo)) = pieces else {
+            self.tree.insert_fragment(f);
+            return;
+        };
+        let left = Fragment {
+            lo: f.lo,
+            hi: left_hi,
+            count: cut - f.base,
+            run: f.run,
+            base: f.base,
+        };
+        let right = Fragment {
+            lo: right_lo,
+            hi: f.hi,
+            count: f.base + f.count - cut,
+            run: f.run,
+            base: cut,
+        };
+        self.tree.insert_fragment(left);
+        self.tree.insert_fragment(right);
+    }
+
+    /// Where `q` falls in the run of fragment `f`, whose label span holds
+    /// it: `Ok(in-run index)` when `q` is a stream item, else `Err(run
+    /// items below q)`, as [`slice::binary_search`] reports it.
+    ///
+    /// The cache answers stream items in O(1); everything else pays the
+    /// run source's lookup, and a stream item found that way is cached
+    /// for next time. A missing run (never on a well-formed index)
+    /// degrades to "nothing of the fragment below `q`".
+    fn position_in(&self, f: &Fragment<Item>, q: &Item) -> Result<u64, u64> {
+        let Some(run) = self.runs.get(f.run as usize) else {
+            return Err(f.base);
+        };
+        let end = f.base + f.count;
+        let cached = q
+            .arena_id()
+            .and_then(|id| self.cache.get(id))
+            .and_then(|tag| tag.checked_sub(run.start));
+        if let Some(idx) = cached.filter(|&idx| idx >= f.base && idx < end) {
+            return Ok(idx);
+        }
+        let pos = match &run.source {
+            RunSource::Stored(items) => {
+                let span = usize::try_from(f.base)
+                    .ok()
+                    .zip(usize::try_from(end).ok())
+                    .and_then(|(b, e)| items.get(b..e));
+                match span {
+                    Some(span) => match span.binary_search(q) {
+                        Ok(i) => Ok(f.base + i as u64),
+                        Err(i) => Err(f.base + i as u64),
+                    },
+                    None => Err(f.base),
+                }
+            }
+            RunSource::Generated(g) => g.position(q.label()),
+        };
+        if let (Ok(idx), Some(id)) = (pos, q.arena_id()) {
+            self.cache.set(id, run.start + idx);
+        }
+        pos
+    }
+
+    /// How many stream items compare `<= q`, for the probe whose
+    /// fragment search ended at `l`.
+    fn le_at(&self, l: &Locate<'_, Item>, q: &Item) -> u64 {
+        match l.hit {
+            None => l.before,
+            Some(f) => {
+                let le = self
+                    .position_in(f, q)
+                    .map_or_else(|below| below, |idx| idx + 1);
+                l.before + le.saturating_sub(f.base)
+            }
+        }
+    }
+
+    /// How many stream items compare strictly below `q`.
+    pub(crate) fn count_less(&self, q: &Item) -> u64 {
+        let l = self.tree.locate(q);
+        match l.hit {
+            None => l.before,
+            Some(f) => {
+                let less = self.position_in(f, q).unwrap_or_else(|below| below);
+                l.before + less.saturating_sub(f.base)
+            }
+        }
+    }
+
+    /// How many stream items compare `<= q`.
+    pub(crate) fn count_le(&self, q: &Item) -> u64 {
+        self.le_at(&self.tree.locate(q), q)
+    }
+
+    /// The arrival tag of `q` if the cache holds it — no tree descent.
+    fn cached_tag(&self, q: &Item) -> Option<u64> {
+        self.cache.get(q.arena_id()?)
+    }
+
+    /// The arrival tag of the probe whose fragment search ended at `l`,
+    /// if it is a stream item.
+    fn tag_at(&self, l: &Locate<'_, Item>, q: &Item) -> Option<u64> {
+        let f = l.hit?;
+        let idx = self.position_in(f, q).ok()?;
+        Some(self.runs.get(f.run as usize)?.start + idx)
+    }
+
+    /// The arrival tag of stream item `q`, if `q` is in the stream.
+    pub(crate) fn tag_of(&self, q: &Item) -> Option<u64> {
+        self.cached_tag(q)
+            .or_else(|| self.tag_at(&self.tree.locate(q), q))
+    }
+
+    /// The run item at in-run index `j` of fragment `f`'s run.
+    fn item_in(&self, f: &Fragment<Item>, j: u64) -> Option<Item> {
+        self.runs.get(f.run as usize)?.source.item_at(j)
+    }
+
+    /// The smallest stream item strictly above `q`.
+    pub(crate) fn successor(&self, q: &Item) -> Option<Item> {
+        if let Some(f) = self.tree.locate(q).hit {
+            let le = self
+                .position_in(f, q)
+                .map_or_else(|below| below, |idx| idx + 1);
+            if le < f.base + f.count {
+                return self.item_in(f, le);
+            }
+        }
+        self.tree.first_above(q).map(|s| s.lo.clone())
+    }
+
+    /// The largest stream item strictly below `q`.
+    pub(crate) fn predecessor(&self, q: &Item) -> Option<Item> {
+        if let Some(f) = self.tree.locate(q).hit {
+            let less = self.position_in(f, q).unwrap_or_else(|below| below);
+            if less > f.base {
+                return self.item_in(f, less - 1);
+            }
+        }
+        self.tree.last_below(q).map(|p| p.hi.clone())
+    }
+
+    /// The smallest stream item.
+    pub(crate) fn min(&self) -> Option<Item> {
+        self.tree.first().map(|f| f.lo.clone())
+    }
+
+    /// The largest stream item.
+    pub(crate) fn max(&self) -> Option<Item> {
+        self.tree.last().map(|f| f.hi.clone())
+    }
+
+    /// Batched [`Self::count_le`] over label-sorted queries: one
+    /// [`RunTree::multi_locate`] walk finds every query's fragment, and
+    /// the in-fragment offsets come from the cache. `out` is cleared
+    /// first; `out[i]` answers `qs[i]`.
+    pub(crate) fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
+        let mut found = Vec::with_capacity(qs.len());
+        self.tree.multi_locate(qs, &mut found);
+        out.clear();
+        out.extend(
+            qs.iter()
+                .zip(&found)
+                .map(|(q, l)| self.le_at(l, q) as usize),
+        );
+    }
+
+    /// Batched [`Self::tag_of`] over label-sorted queries. Cached items
+    /// resolve without touching the tree; only when some query misses
+    /// does one [`RunTree::multi_locate`] walk run, and it resolves
+    /// every miss. `out` is cleared first; `out[i]` answers `qs[i]`.
+    pub(crate) fn multi_tag_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
+        out.clear();
+        out.extend(qs.iter().map(|q| self.cached_tag(q)));
+        if out.iter().all(Option::is_some) {
+            return;
+        }
+        let mut found = Vec::with_capacity(qs.len());
+        self.tree.multi_locate(qs, &mut found);
+        for ((slot, q), l) in out.iter_mut().zip(qs).zip(&found) {
+            if slot.is_none() {
+                *slot = self.tag_at(l, q);
+            }
+        }
+    }
+
+    /// Visits every stream item in label order with its arrival tag.
+    /// Generated runs mint each item on the fly, O(N log N) label mints
+    /// in all — meant for snapshots and differential tests at moderate N,
+    /// not for the billion-item hot path.
+    pub(crate) fn for_each_tagged(&self, f: &mut dyn FnMut(&Item, u64)) {
+        self.tree.for_each(&mut |frag| {
+            let Some(run) = self.runs.get(frag.run as usize) else {
+                return;
+            };
+            for j in frag.base..frag.base + frag.count {
+                if let Some(it) = run.source.item_at(j) {
+                    f(&it, run.start + j);
+                }
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cqs_ostree::OsTree;
+    use cqs_universe::generate_increasing;
+
+    /// The run source a test index stores: the run's items, or its
+    /// generator.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Stored,
+        Generated,
+    }
+
+    const KINDS: [Kind; 2] = [Kind::Stored, Kind::Generated];
+
+    /// Appends a fresh run of `n` items minted inside `iv` to both the
+    /// reference treap (tags continuing from its length) and `imp`.
+    fn feed(
+        mat: &mut OsTree<Item>,
+        imp: &mut RunOrder,
+        kind: Kind,
+        iv: &Interval,
+        n: usize,
+    ) -> Vec<Item> {
+        let items = generate_increasing(iv, n);
+        for it in &items {
+            let tag = mat.len() as u64;
+            mat.insert_unique_tagged(it.clone(), tag);
+        }
+        let source = match kind {
+            Kind::Stored => RunSource::Stored(items.clone().into()),
+            Kind::Generated => RunSource::Generated(RunGenerator::new(iv, n as u64)),
+        };
+        imp.insert_run(iv, &items, source);
+        items
+    }
+
+    /// Builds the same stream both ways: the reference treap and a
+    /// run-fragment index of `kind` runs, from a root run refined in the
+    /// adversary's pattern (mint between order-adjacent items).
+    fn build_both(kind: Kind, root_n: usize, leaf_n: usize) -> (OsTree<Item>, RunOrder) {
+        build_both_with(RunOrder::new(), kind, root_n, leaf_n)
+    }
+
+    /// [`build_both`] into a caller-configured index.
+    fn build_both_with(
+        mut imp: RunOrder,
+        kind: Kind,
+        root_n: usize,
+        leaf_n: usize,
+    ) -> (OsTree<Item>, RunOrder) {
+        let mut mat = OsTree::new();
+        let root = feed(&mut mat, &mut imp, kind, &Interval::whole(), root_n);
+        // Refine between two order-adjacent items in the middle.
+        let m = root_n / 2;
+        let iv1 = Interval::open(root[m].clone(), root[m + 1].clone());
+        let left = feed(&mut mat, &mut imp, kind, &iv1, leaf_n);
+        // And again inside the new run (order-adjacent pair of it).
+        let iv2 = Interval::open(left[0].clone(), left[1].clone());
+        feed(&mut mat, &mut imp, kind, &iv2, leaf_n);
+        // Also refine at a fragment boundary: just above the root max.
+        let iv3 = Interval::new(Endpoint::Finite(root[root_n - 1].clone()), Endpoint::PosInf);
+        feed(&mut mat, &mut imp, kind, &iv3, leaf_n);
+        (mat, imp)
+    }
+
+    #[test]
+    fn matches_materialized_treap_on_refined_stream() {
+        for kind in KINDS {
+            let (mat, imp) = build_both(kind, 32, 8);
+            assert_matches_materialized(&mat, &imp);
+        }
+    }
+
+    /// Every point query of `imp` — on each stream item and on a probe
+    /// between each adjacent pair — answers as the treap `mat` does.
+    fn assert_matches_materialized(mat: &OsTree<Item>, imp: &RunOrder) {
+        assert_eq!(imp.len(), mat.len() as u64);
+        let mut all: Vec<(Item, u64)> = Vec::new();
+        mat.for_each_tagged(&mut |it, t| all.push((it.clone(), t)));
+        for (it, t) in &all {
+            assert_eq!(imp.count_less(it), mat.count_less(it) as u64);
+            assert_eq!(imp.count_le(it), mat.count_le(it) as u64);
+            assert_eq!(imp.tag_of(it), Some(*t));
+            assert_eq!(imp.successor(it), mat.successor(it).cloned());
+            assert_eq!(imp.predecessor(it), mat.predecessor(it).cloned());
+        }
+        assert_eq!(imp.min(), mat.min().cloned());
+        assert_eq!(imp.max(), mat.max().cloned());
+        // Probes between adjacent stream items.
+        for w in all.windows(2) {
+            if w[0].0 < w[1].0 {
+                let probe = cqs_universe::between_items(&w[0].0, &w[1].0);
+                assert_eq!(imp.count_less(&probe), mat.count_less(&probe) as u64);
+                assert_eq!(imp.count_le(&probe), mat.count_le(&probe) as u64);
+                assert_eq!(imp.tag_of(&probe), None);
+                assert_eq!(imp.successor(&probe), mat.successor(&probe).cloned());
+                assert_eq!(imp.predecessor(&probe), mat.predecessor(&probe).cloned());
+            }
+        }
+    }
+
+    #[test]
+    fn replay_visits_identical_items_and_tags() {
+        for kind in KINDS {
+            let (mat, imp) = build_both(kind, 16, 4);
+            let mut a: Vec<(Vec<u8>, u64)> = Vec::new();
+            mat.for_each_tagged(&mut |it, t| a.push((it.label().to_vec(), t)));
+            let mut b: Vec<(Vec<u8>, u64)> = Vec::new();
+            imp.for_each_tagged(&mut |it, t| b.push((it.label().to_vec(), t)));
+            assert_eq!(a, b, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn fresh_remints_resolve_without_memo() {
+        for kind in KINDS {
+            let (mat, imp) = build_both(kind, 16, 4);
+            let mut items: Vec<(Item, u64)> = Vec::new();
+            mat.for_each_tagged(&mut |it, t| items.push((it.clone(), t)));
+            for (it, t) in &items {
+                // A brand-new mint of the same label: different arena id,
+                // so every cache lookup misses and the run source must
+                // produce the same answers.
+                let fresh = Item::from_label(it.label().to_vec());
+                assert_eq!(imp.tag_of(&fresh), Some(*t));
+                assert_eq!(imp.count_less(&fresh), mat.count_less(it) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn multi_queries_match_scalar_queries() {
+        for kind in KINDS {
+            let (mat, imp) = build_both(kind, 16, 4);
+            let mut qs: Vec<Item> = Vec::new();
+            mat.for_each_tagged(&mut |it, _| qs.push(it.clone()));
+            // Probes between adjacent items, and fresh re-mints that miss
+            // the cache, ride in the same sorted batch.
+            let mut batch: Vec<Item> = Vec::new();
+            for w in qs.windows(2) {
+                batch.push(w[0].clone());
+                batch.push(Item::from_label(w[0].label().to_vec()));
+                batch.push(cqs_universe::between_items(&w[0], &w[1]));
+            }
+            let mut tags = Vec::new();
+            imp.multi_tag_of(&batch, &mut tags);
+            let mut les = Vec::new();
+            imp.multi_count_le(&batch, &mut les);
+            assert_eq!((tags.len(), les.len()), (batch.len(), batch.len()));
+            for (i, q) in batch.iter().enumerate() {
+                assert_eq!(tags[i], imp.tag_of(q));
+                assert_eq!(les[i] as u64, imp.count_le(q));
+                assert_eq!(les[i], mat.count_le(q));
+            }
+            // Whole-cache hits skip the walk and still answer in order.
+            imp.multi_tag_of(&qs, &mut tags);
+            for (i, q) in qs.iter().enumerate() {
+                assert_eq!(tags[i], mat.tag_of(q));
+            }
+        }
+    }
+
+    #[test]
+    fn cache_collisions_keep_answers_correct() {
+        // One and four slots: nearly every lookup collides with, or was
+        // evicted by, another id, so answers come from the run sources —
+        // the binary search over stored items, or the generator descent.
+        for kind in KINDS {
+            for cap in [1, 4] {
+                let (mat, imp) = build_both_with(RunOrder::with_cache_capacity(cap), kind, 32, 8);
+                assert_matches_materialized(&mat, &imp);
+                // A second pass runs against the re-stored (and
+                // re-evicted) entries of the first.
+                assert_matches_materialized(&mat, &imp);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_from_sorted_pairs_matches_reference() {
+        for cap in [None, Some(1), Some(4)] {
+            let (mat, _) = build_both(Kind::Stored, 32, 8);
+            let mut pairs = Vec::new();
+            // Fresh mints, as a snapshot decode produces them.
+            mat.for_each_tagged(&mut |it, t| {
+                pairs.push((Item::from_label(it.label().to_vec()), t))
+            });
+            let mut imp = RunOrder::from_sorted_tagged(pairs).unwrap();
+            if let Some(cap) = cap {
+                imp.cache = TagCache::with_capacity(cap);
+            }
+            // Root run, two refinements splitting it and the first leaf,
+            // and the run above the maximum: six tag stretches.
+            assert_eq!(imp.fragment_count(), 6);
+            assert_matches_materialized(&mat, &imp);
+        }
+    }
+
+    #[test]
+    fn empty_run_is_a_no_op() {
+        for source in [
+            RunSource::Stored(Box::new([])),
+            RunSource::Generated(RunGenerator::new(&Interval::whole(), 0)),
+        ] {
+            let mut imp = RunOrder::new();
+            imp.insert_run(&Interval::whole(), &[], source);
+            assert_eq!(imp.len(), 0);
+            assert_eq!(imp.fragment_count(), 0);
+            assert!(imp.min().is_none() && imp.max().is_none());
+        }
+    }
+}

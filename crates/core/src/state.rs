@@ -3,140 +3,42 @@
 //! The adversary grows two of these — one for π, one for ϱ. Each tracks:
 //!
 //! * the summary under attack (any [`ComparisonSummary<Item>`]);
-//! * an order-statistic treap over all stream items, giving the paper's
-//!   `rank_σ(a)`, `next(σ, a)` and `prev(σ, b)` in O(log N) — each node
-//!   also carries the item's arrival position as its tag, used to
-//!   *verify* (not assume) indistinguishability: Definition 3.2(2)
-//!   demands that the i-th stored items of the two summaries arrived at
-//!   the same stream position.
+//! * a run-fragment order index over the stream (`run_order`),
+//!   giving the paper's `rank_σ(a)`, `next(σ, a)` and `prev(σ, b)` in
+//!   O(log #fragments) plus one lookup inside a run — each run also
+//!   records the arrival position of its first item, which yields every
+//!   item's arrival tag, used to *verify* (not assume)
+//!   indistinguishability: Definition 3.2(2) demands that the i-th stored
+//!   items of the two summaries arrived at the same stream position.
 
-use cqs_ostree::OsTree;
-use cqs_universe::{Endpoint, Interval, Item};
+use cqs_universe::{Endpoint, Interval, Item, RunGenerator};
 
-use crate::implicit::ImplicitOrder;
 use crate::model::ComparisonSummary;
+use crate::run_order::{RunOrder, RunSource};
 use crate::tag_cache::TagCache;
 
-/// How a [`StreamState`] represents the stream's order statistics.
+/// How a [`StreamState`] keeps the items of the runs it indexes. Both
+/// share one run-fragment order index and answer byte-identically for
+/// the same stream; they differ in what each run keeps and in how the
+/// adversary mints leaves for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamRepr {
-    /// Every stream item lives in an order-statistic treap: Θ(N)
-    /// memory, supports arbitrary per-item appends. The default.
+    /// Every run keeps its minted items, each with its own arena id:
+    /// Θ(N) resident items, and a lookup inside a run is a binary
+    /// search. The default.
     Materialized,
-    /// Interval-compressed: runs are stored as generators plus a
-    /// fragment treap ([`crate::implicit`]), so memory is sublinear in
-    /// N. Streams must grow through the run-based entry points
-    /// ([`StreamState::push_run_in`] / [`StreamState::index_run_in`]).
+    /// Every run keeps only its interval and count, and replays its mint
+    /// on demand, so memory is sublinear in N. The adversary seals leaf
+    /// labels in shared groups for it, sparing the 2³² arena-id space.
     Implicit,
-}
-
-/// The order-statistic index behind a [`StreamState`], in either
-/// representation. Every query forwards to the active index; the two
-/// sides answer byte-identically for the same stream (the implicit
-/// side replays the deterministic mint subdivision), which the
-/// `cqs-bench` differential suite pins end-to-end.
-enum OrderIndex {
-    Materialized(OsTree<Item>),
-    Implicit(ImplicitOrder),
-}
-
-impl OrderIndex {
-    fn len(&self) -> u64 {
-        match self {
-            OrderIndex::Materialized(t) => t.len() as u64,
-            OrderIndex::Implicit(i) => i.len(),
-        }
-    }
-
-    fn count_less(&self, q: &Item) -> u64 {
-        match self {
-            OrderIndex::Materialized(t) => t.count_less(q) as u64,
-            OrderIndex::Implicit(i) => i.count_less(q),
-        }
-    }
-
-    fn count_le(&self, q: &Item) -> u64 {
-        match self {
-            OrderIndex::Materialized(t) => t.count_le(q) as u64,
-            OrderIndex::Implicit(i) => i.count_le(q),
-        }
-    }
-
-    fn successor(&self, q: &Item) -> Option<Item> {
-        match self {
-            OrderIndex::Materialized(t) => t.successor(q).cloned(),
-            OrderIndex::Implicit(i) => i.successor(q),
-        }
-    }
-
-    fn predecessor(&self, q: &Item) -> Option<Item> {
-        match self {
-            OrderIndex::Materialized(t) => t.predecessor(q).cloned(),
-            OrderIndex::Implicit(i) => i.predecessor(q),
-        }
-    }
-
-    fn min(&self) -> Option<Item> {
-        match self {
-            OrderIndex::Materialized(t) => t.min().cloned(),
-            OrderIndex::Implicit(i) => i.min(),
-        }
-    }
-
-    fn max(&self) -> Option<Item> {
-        match self {
-            OrderIndex::Materialized(t) => t.max().cloned(),
-            OrderIndex::Implicit(i) => i.max(),
-        }
-    }
-
-    fn tag_of(&self, q: &Item) -> Option<u64> {
-        match self {
-            OrderIndex::Materialized(t) => t.tag_of(q),
-            OrderIndex::Implicit(i) => i.tag_of(q),
-        }
-    }
-
-    /// Batched `count_le` over sorted queries. Counts land in `usize`
-    /// scratch (the materialized treap's native width); implicit counts
-    /// are exact — stream lengths stay far below `usize::MAX` on the
-    /// 64-bit targets the billion-item sweep runs on.
-    fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
-        match self {
-            OrderIndex::Materialized(t) => t.multi_count_le(qs, out),
-            OrderIndex::Implicit(i) => i.multi_count_le(qs, out),
-        }
-    }
-
-    fn multi_tag_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
-        match self {
-            OrderIndex::Materialized(t) => t.multi_tag_of(qs, out),
-            OrderIndex::Implicit(i) => i.multi_tag_of(qs, out),
-        }
-    }
-
-    fn for_each_tagged(&self, f: &mut dyn FnMut(&Item, u64)) {
-        match self {
-            OrderIndex::Materialized(t) => t.for_each_tagged(f),
-            OrderIndex::Implicit(i) => i.for_each_tagged(f),
-        }
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        match self {
-            OrderIndex::Materialized(t) => t.reserve(additional),
-            // The implicit index allocates per fragment, not per item;
-            // run counts are unknowable here and tiny anyway.
-            OrderIndex::Implicit(_) => {}
-        }
-    }
 }
 
 /// A stream being fed to a summary, with full order-statistic indexing.
 pub struct StreamState<S> {
     /// The summary under adversarial attack.
     pub summary: S,
-    order: OrderIndex,
+    order: RunOrder,
+    repr: StreamRepr,
     n: u64,
     max_label_depth: usize,
 }
@@ -150,13 +52,10 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
 
     /// Wraps a fresh summary with an explicit stream representation.
     pub fn with_repr(summary: S, repr: StreamRepr) -> Self {
-        let order = match repr {
-            StreamRepr::Materialized => OrderIndex::Materialized(OsTree::new()),
-            StreamRepr::Implicit => OrderIndex::Implicit(ImplicitOrder::new()),
-        };
         StreamState {
             summary,
-            order,
+            order: RunOrder::new(),
+            repr,
             n: 0,
             max_label_depth: 0,
         }
@@ -164,14 +63,19 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
 
     /// The active stream representation.
     pub fn repr(&self) -> StreamRepr {
-        match self.order {
-            OrderIndex::Materialized(_) => StreamRepr::Materialized,
-            OrderIndex::Implicit(_) => StreamRepr::Implicit,
-        }
+        self.repr
+    }
+
+    /// Sets the representation of the runs indexed from now on. Both
+    /// share one index, so switching an empty stream costs nothing.
+    pub(crate) fn set_repr(&mut self, repr: StreamRepr) {
+        self.repr = repr;
     }
 
     /// Rebuilds a state from snapshot parts: a restored summary plus the
-    /// stream's `(item, arrival tag)` pairs in sorted item order.
+    /// stream's `(item, arrival tag)` pairs in sorted item order. The
+    /// result is materialized: each maximal stretch of pairs whose tags
+    /// rise by exactly 1 becomes one stored run.
     ///
     /// Validates everything a corrupt or hand-forged snapshot could get
     /// wrong — items must be strictly increasing, the tags must be a
@@ -206,11 +110,13 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
             ));
         }
         let max_label_depth = pairs.iter().map(|(it, _)| it.depth()).max().unwrap_or(0);
-        let mut order = OsTree::new();
-        order.extend_sorted_tagged(pairs);
+        let order = RunOrder::from_sorted_tagged(pairs).ok_or_else(|| {
+            "stream snapshot needs more than 2^32 - 1 runs of consecutive arrival tags".to_string()
+        })?;
         Ok(StreamState {
             summary,
-            order: OrderIndex::Materialized(order),
+            order,
+            repr: StreamRepr::Materialized,
             n,
             max_label_depth,
         })
@@ -223,25 +129,19 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         self.order.for_each_tagged(f);
     }
 
-    /// Appends one item to the stream and feeds it to the summary.
+    /// Appends one item to the stream and feeds it to the summary. The
+    /// item becomes a one-item stored run, splitting the fragment whose
+    /// label span it falls into; works in both representations.
     ///
     /// # Panics
     ///
     /// Panics if the item already occurred — the adversarial streams
     /// consist of distinct items, and `rank_σ` is only well-defined then.
     pub fn push(&mut self, item: Item) {
-        let OrderIndex::Materialized(order) = &mut self.order else {
-            // Per-item appends carry no interval, which the implicit
-            // index needs to register a run; the adversary grows implicit
-            // streams through `push_run_in`/`index_run_in` only.
-            panic!("per-item push requires a materialized stream");
-        };
-        self.max_label_depth = self.max_label_depth.max(item.depth());
-        // The treap descent doubles as the distinctness check, and the
-        // node's tag records the arrival position — one walk where the
-        // old BTreeMap-plus-treap layout paid for two.
-        let fresh = order.insert_unique_tagged(item.clone(), self.n);
-        assert!(fresh, "adversarial stream items must be distinct");
+        let run = std::slice::from_ref(&item);
+        self.validate_run(run);
+        let source = RunSource::Stored(Box::new([item.clone()]));
+        self.order.insert_run(&Interval::whole(), run, source);
         self.summary.insert(item);
         self.n += 1;
     }
@@ -254,11 +154,9 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// reported at any point of the run (cf.
     /// [`ComparisonSummary::insert_sorted_run`]).
     ///
-    /// Works in both stream representations: a materialized stream
-    /// indexes the items directly in one bulk join instead of |run|
-    /// descents (the interval is redundant there); an implicit stream
-    /// registers the interval's run generator and fragments instead of
-    /// the items. Equivalent to calling [`push`](Self::push) per item.
+    /// Works in both stream representations: a materialized stream keeps
+    /// the run's items, an implicit one the interval's run generator.
+    /// Equivalent to calling [`push`](Self::push) per item.
     ///
     /// # Panics
     ///
@@ -282,24 +180,20 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// # Panics
     ///
     /// Same validity requirements as [`push_run_in`](Self::push_run_in);
-    /// on an implicit stream additionally panics if the run-id space is
-    /// exhausted (callers on the panic-free driver path check
+    /// additionally panics if the run-id space is exhausted (callers on
+    /// the panic-free driver path check
     /// [`runs_exhausted`](Self::runs_exhausted) first).
     pub fn index_run_in(&mut self, iv: &Interval, run: &[Item]) {
         self.validate_run(run);
-        match &mut self.order {
-            OrderIndex::Materialized(order) => {
-                let start = self.n;
-                order.extend_sorted_tagged(run.iter().cloned().zip(start..));
-            }
-            OrderIndex::Implicit(imp) => {
-                debug_assert!(
-                    run.iter().all(|it| iv.contains(it)),
-                    "run item escaped its mint interval"
-                );
-                imp.insert_run(iv, run);
-            }
-        }
+        debug_assert!(
+            run.iter().all(|it| iv.contains(it)),
+            "run item escaped its mint interval"
+        );
+        let source = match self.repr {
+            StreamRepr::Materialized => RunSource::Stored(run.into()),
+            StreamRepr::Implicit => RunSource::Generated(RunGenerator::new(iv, run.len() as u64)),
+        };
+        self.order.insert_run(iv, run, source);
     }
 
     /// Shared validity checks of the run entry points: strictly
@@ -319,15 +213,11 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         }
     }
 
-    /// Whether the stream can no longer accept runs: an implicit stream
-    /// has a `u32` run-id space (4 × 10⁹ runs ≈ 10¹² items at the
-    /// adversary's leaf sizes — a capacity probe, not a practical
-    /// limit). Materialized streams never exhaust here.
+    /// Whether the stream can no longer accept runs: the index has a
+    /// `u32` run-id space (4 × 10⁹ runs ≈ 10¹² items at the adversary's
+    /// leaf sizes — a capacity probe, not a practical limit).
     pub fn runs_exhausted(&self) -> bool {
-        match &self.order {
-            OrderIndex::Materialized(_) => false,
-            OrderIndex::Implicit(imp) => imp.runs_exhausted(),
-        }
+        self.order.runs_exhausted()
     }
 
     /// Feeds one item (already indexed via
@@ -340,11 +230,10 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         self.n += 1;
     }
 
-    /// Pre-allocates order-statistic index capacity for `additional`
-    /// more stream items (see [`OsTree::reserve`]).
-    pub fn reserve_items(&mut self, additional: usize) {
-        self.order.reserve(additional);
-    }
+    /// Capacity hint for `additional` more stream items. The index grows
+    /// per run, not per item, and a run's items arrive in one allocation,
+    /// so there is nothing to reserve; the hint is accepted and ignored.
+    pub fn reserve_items(&mut self, _additional: usize) {}
 
     /// Stream length so far.
     pub fn len(&self) -> u64 {
@@ -393,8 +282,8 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         self.order.max()
     }
 
-    /// Arrival position (0-based) of a stream item — the tag its treap
-    /// node carries.
+    /// Arrival position (0-based) of a stream item: its run's first
+    /// arrival plus its index in the run.
     pub fn arrival_of(&self, a: &Item) -> Option<u64> {
         self.order.tag_of(a)
     }
@@ -448,10 +337,10 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// `[rank(lo)] ++ [rank(it) for stored it inside iv] ++ [rank(hi)]`
     /// while collecting the enclosed restricted array — finite
     /// boundaries included — into `items` (O(1) arena clones). ALL ranks
-    /// come from ONE batched treap walk ([`OsTree::multi_count_le`]):
+    /// come from ONE batched fragment walk (`RunOrder::multi_count_le`):
     /// the finite boundaries ride along as the first/last queries (the
     /// open interval keeps the batch sorted), so no item pays a descent
-    /// of its own, and a +∞ high sentinel needs only the tree size.
+    /// of its own, and a +∞ high sentinel needs only the stream length.
     /// `les` is the walk's count scratch.
     ///
     /// Returns the interior offset into `items`: `1` when the low
@@ -501,7 +390,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
             u64::from(lo_finite) + (les.last().copied().unwrap_or(0) as u64).saturating_sub(base)
         } else {
             // +∞ sentinel: one past the whole restricted substream,
-            // whose length is the tree size minus everything ≤ lo.
+            // whose length is the stream length minus everything ≤ lo.
             u64::from(lo_finite) + self.order.len().saturating_sub(base) + 1
         };
         out.push(hi_rank);
@@ -509,8 +398,8 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     }
 
     /// Batched [`arrival_of`](Self::arrival_of): arrival tags for a
-    /// *sorted* slice of query items, one treap walk for the whole
-    /// batch.
+    /// *sorted* slice of query items: cache hits need no walk, and the
+    /// misses share one fragment walk.
     pub fn multi_arrival_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
         self.order.multi_tag_of(qs, out);
     }
@@ -734,7 +623,9 @@ fn resolve_side_streaming<S: ComparisonSummary<Item>>(
 mod tests {
     use super::*;
     use crate::reference::ExactSummary;
-    use cqs_universe::generate_increasing;
+    use crate::rng::SplitMix64;
+    use cqs_ostree::OsTree;
+    use cqs_universe::{between_items, generate_increasing};
 
     fn state_with(n: usize) -> StreamState<ExactSummary<Item>> {
         let mut st = StreamState::new(ExactSummary::new());
@@ -867,7 +758,7 @@ mod tests {
     /// An implicit stream whose own index cache has `cap` slots.
     fn implicit_state(cap: usize) -> StreamState<ExactSummary<Item>> {
         let mut st = StreamState::with_repr(ExactSummary::new(), StreamRepr::Implicit);
-        st.order = OrderIndex::Implicit(ImplicitOrder::with_cache_capacity(cap));
+        st.order = RunOrder::with_cache_capacity(cap);
         st
     }
 
@@ -930,6 +821,57 @@ mod tests {
             assert_eq!(bulk.arrival_of(it), single.arrival_of(it));
             assert_eq!(bulk.next(it), single.next(it));
             assert_eq!(bulk.prev(it), single.prev(it));
+        }
+    }
+
+    /// Every order query of `st` — on each stream item and on a probe
+    /// between each adjacent pair — answers as the reference treap does.
+    fn assert_matches_reference(st: &StreamState<ExactSummary<Item>>, reference: &OsTree<Item>) {
+        assert_eq!(st.len(), reference.len() as u64);
+        assert_eq!(st.min(), reference.min().cloned());
+        assert_eq!(st.max(), reference.max().cloned());
+        let mut all: Vec<Item> = Vec::new();
+        reference.for_each_tagged(&mut |it, _| all.push(it.clone()));
+        let probes = all.windows(2).map(|w| between_items(&w[0], &w[1]));
+        for q in all.iter().cloned().chain(probes) {
+            assert_eq!(st.rank(&q), reference.count_less(&q) as u64 + 1);
+            assert_eq!(st.arrival_of(&q), reference.tag_of(&q));
+            assert_eq!(st.next(&q), reference.successor(&q).cloned());
+            assert_eq!(st.prev(&q), reference.predecessor(&q).cloned());
+        }
+    }
+
+    #[test]
+    fn interior_pushes_match_reference_treap() {
+        // Per-item pushes strictly between adjacent items split a
+        // fragment mid-span (stored or generated); the odd push below the
+        // minimum or above the maximum lands beside every fragment. Each
+        // push is checked against the treap query by query.
+        for repr in [StreamRepr::Materialized, StreamRepr::Implicit] {
+            let mut rng = SplitMix64::new(0x5e1);
+            let mut st = StreamState::with_repr(ExactSummary::new(), repr);
+            let mut reference = OsTree::new();
+            let whole = Interval::whole();
+            let mut sorted = generate_increasing(&whole, 32);
+            st.push_run_in(&whole, &sorted);
+            for (tag, it) in (0..).zip(&sorted) {
+                reference.insert_unique_tagged(it.clone(), tag);
+            }
+            for _ in 0..64 {
+                let i = rng.below(sorted.len() as u64 + 1) as usize;
+                let item = match (i.checked_sub(1).map(|j| &sorted[j]), sorted.get(i)) {
+                    (Some(a), Some(b)) => between_items(a, b),
+                    (a, b) => {
+                        let lo = a.map_or(Endpoint::NegInf, |a| Endpoint::Finite(a.clone()));
+                        let hi = b.map_or(Endpoint::PosInf, |b| Endpoint::Finite(b.clone()));
+                        generate_increasing(&Interval::new(lo, hi), 1).remove(0)
+                    }
+                };
+                reference.insert_unique_tagged(item.clone(), st.len());
+                st.push(item.clone());
+                sorted.insert(i, item);
+                assert_matches_reference(&st, &reference);
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! and arena ids are globally unique with id equality proving label
 //! equality ([`Item::arena_id`](cqs_universe::Item::arena_id)), so
 //! `id → tag` is an immutable fact about one stream: a cached entry is
-//! never stale, only evicted. Both the implicit stream index
-//! ([`crate::implicit`]) and each side of the
+//! never stale, only evicted. Both the stream order index
+//! ([`crate::run_order`]) and each side of the
 //! [`EquivalenceChecker`](crate::state::EquivalenceChecker) answer their
 //! hot tag lookups from one of these.
 //!

@@ -8,12 +8,15 @@
 //! in the sorted order of stream σ), `next(σ, a)` (the successor of `a`
 //! among σ's items), `prev(σ, b)`, the stream's minimum and maximum, and
 //! each item's arrival position — over streams of distinct items that
-//! grow to millions of items. [`OsTree`] provides exactly those
-//! operations in O(log n) expected time via a randomized balanced BST
-//! (treap) augmented with subtree sizes and a per-item tag, plus batched
-//! walks ([`OsTree::multi_count_le`], [`OsTree::multi_tag_of`]) that
-//! answer a sorted query set in one descent. [`RunTree`] is its
-//! interval-compressed counterpart over runs of virtual items.
+//! grow to millions of items. The streams grow in runs, so [`RunTree`]
+//! indexes them by run fragment: a treap over contiguous blocks of
+//! items with cached counts, which the adversary's stream index builds
+//! on. [`OsTree`] provides the same operations per item in O(log n)
+//! expected time via a randomized balanced BST (treap) augmented with
+//! subtree sizes and a per-item tag, plus batched walks
+//! ([`OsTree::multi_count_le`], [`OsTree::multi_tag_of`]) that answer a
+//! sorted query set in one descent; the differential tests use it as the
+//! reference model of the stream index.
 //!
 //! Priorities come from an internal deterministic SplitMix64 sequence, so
 //! a tree built by the same sequence of inserts always has the same

@@ -1,10 +1,9 @@
 //! An order-statistic treap over *runs* of virtual items.
 //!
-//! The adversary's interval-compressed stream representation stores, per
-//! contiguous block of minted items, one [`Fragment`]: the block's first
-//! and last (materialized) items, the count of virtual items between and
-//! including them, and bookkeeping locating the block inside its minted
-//! run. A [`RunTree`] keeps the fragments in label order and caches the
+//! The adversary's stream index stores, per contiguous block of minted
+//! items, one [`Fragment`]: the block's first and last (materialized)
+//! items, the count of virtual items between and including them, and
+//! bookkeeping locating the block inside its minted run. A [`RunTree`] keeps the fragments in label order and caches the
 //! **virtual** subtree size (sum of fragment counts) at every node, so
 //! rank ([`locate`](RunTree::locate)) descends in O(log #fragments)
 //! while representing arbitrarily many items per fragment.
@@ -12,8 +11,8 @@
 //! The tree compares only the fragments' endpoint items (`T: Ord`) —
 //! everything *between* a fragment's endpoints is opaque to it. Point
 //! queries that land inside a fragment are answered by the caller (the
-//! implicit stream keeps a run-label generator per run); the tree's job
-//! is to find the fragment and the virtual count to its left.
+//! stream index keeps each run's items, or a run-label generator); the
+//! tree's job is to find the fragment and the virtual count to its left.
 //!
 //! Arena discipline, deterministic SplitMix64 priorities, and the
 //! split/merge machinery mirror [`crate::OsTree`] — a tree built by the
@@ -34,7 +33,7 @@ pub struct Fragment<T> {
     pub hi: T,
     /// Number of virtual items in the block (≥ 1).
     pub count: u64,
-    /// Caller-side run identifier (index into the run-generator table).
+    /// Caller-side run identifier (index into the caller's run table).
     pub run: u32,
     /// In-run index of `lo`.
     pub base: u64,

@@ -106,14 +106,6 @@ impl<T: Ord> OsTree<T> {
         size(&self.nodes, self.root)
     }
 
-    /// Pre-allocates arena capacity for `additional` more items. A
-    /// caller that knows its final size up front (the adversary knows
-    /// N = (1/ε)·2^k before the first insert) spares the arena its
-    /// doubling re-allocations, each of which copies every node.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-    }
-
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.node(self.root).is_none()

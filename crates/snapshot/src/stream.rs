@@ -6,9 +6,10 @@
 //! embedded as one length-prefixed blob) + `TAGS` (count, then per
 //! stream item in sorted order: label-encoded item, arrival tag).
 //! Restore validates the embedded summary with its own reader, then
-//! rebuilds the order-statistic index through
+//! rebuilds the order index through
 //! [`StreamState::from_snapshot_parts`], which re-checks sortedness,
-//! tag permutation, and summary/stream length agreement.
+//! tag permutation, and summary/stream length agreement, and stores each
+//! stretch of consecutive arrival tags as one run.
 //!
 //! The wire format is representation-agnostic: an interval-compressed
 //! (`StreamRepr::Implicit`) state replays its items through the same
@@ -111,7 +112,7 @@ mod tests {
 
         // Same refined stream, both representations: the STRM bytes
         // must agree exactly, because the implicit state replays the
-        // very same (item, tag) walk the treap stores. The stream is
+        // very same (item, tag) walk the stored runs hold. The stream is
         // built in the adversary's pattern — a root run, then runs
         // minted between order-adjacent items — so fragment splits are
         // on the wire path.
@@ -138,6 +139,48 @@ mod tests {
             assert_eq!(back.arrival_of(it), Some(*tag));
             assert_eq!(back.next(it), imp.next(it));
             assert_eq!(back.prev(it), imp.prev(it));
+        }
+    }
+
+    #[test]
+    fn refined_stream_restores_every_answer_and_re_encodes_identically() {
+        // Runs minted between order-adjacent items, so in sorted order
+        // the arrival tags jump wherever a later run landed and restore
+        // rebuilds the stream from several stored runs per original run.
+        let mut st = StreamState::new(GkSummary::<Item>::new(0.05));
+        let mut feed = |iv: &Interval, n: usize| {
+            let items = generate_increasing(iv, n);
+            st.push_run_in(iv, &items);
+            items
+        };
+        let root = feed(&Interval::whole(), 32);
+        let mid = feed(&Interval::open(root[15].clone(), root[16].clone()), 8);
+        feed(&Interval::open(mid[3].clone(), mid[4].clone()), 8);
+        feed(&Interval::open(root[3].clone(), root[4].clone()), 4);
+        feed(&Interval::above(root[31].clone()), 4);
+        let mut pairs = Vec::new();
+        st.for_each_arrival(&mut |it, tag| pairs.push((it.clone(), tag)));
+        assert!(
+            pairs.windows(2).any(|w| w[1].1 != w[0].1 + 1),
+            "sorted arrival tags must be non-consecutive somewhere"
+        );
+        let bytes = st.to_snapshot_bytes();
+        let back = StreamState::<GkSummary<Item>>::from_snapshot_bytes(&bytes).unwrap();
+        assert_eq!(back.to_snapshot_bytes(), bytes);
+        assert_eq!(
+            (back.len(), back.min(), back.max()),
+            (st.len(), st.min(), st.max())
+        );
+        // Every stream item, and a probe between each adjacent pair.
+        let items: Vec<Item> = pairs.into_iter().map(|(it, _)| it).collect();
+        let probes = items
+            .windows(2)
+            .map(|w| cqs_universe::between_items(&w[0], &w[1]));
+        for q in items.iter().cloned().chain(probes) {
+            assert_eq!(back.rank(&q), st.rank(&q));
+            assert_eq!(back.next(&q), st.next(&q));
+            assert_eq!(back.prev(&q), st.prev(&q));
+            assert_eq!(back.arrival_of(&q), st.arrival_of(&q));
         }
     }
 

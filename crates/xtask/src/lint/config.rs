@@ -125,9 +125,10 @@ pub const HOT_PATH_FNS: &[&str] = &[
     "quantile",
     "estimate_rank",
     "merge",
-    // Batched order-statistic walks (cqs-ostree): the adversary's gap
-    // scans and equivalence checks funnel every per-leaf query through
-    // these, so they face the same adversarial input as insert/query.
+    // Batched order-statistic walks (the stream index in cqs-core and
+    // `RunTree` in cqs-ostree): the adversary's gap scans and
+    // equivalence checks funnel every per-leaf query through these, so
+    // they face the same adversarial input as insert/query.
     "multi_count_le",
     "multi_tag_of",
     "multi_locate",
