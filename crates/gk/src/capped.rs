@@ -41,8 +41,8 @@ impl<T: Ord + Clone> CappedGk<T> {
         self.budget
     }
 
-    /// Raw tuples (diagnostics).
-    pub fn tuples(&self) -> &[GkTuple<T>] {
+    /// The tuples in order (diagnostics).
+    pub fn tuples(&self) -> std::borrow::Cow<'_, [GkTuple<T>]> {
         self.inner.tuples()
     }
 
@@ -62,7 +62,7 @@ impl<T: Ord + Clone> CappedGk<T> {
 
 impl<T: Ord + Clone> ComparisonSummary<T> for CappedGk<T> {
     fn insert(&mut self, item: T) {
-        self.inner.insert_value(item);
+        self.inner.insert(item);
         self.enforce_budget();
     }
 

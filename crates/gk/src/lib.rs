@@ -68,6 +68,9 @@ fn sharding_send_audit<T: Send>() {
 }
 
 #[cfg(test)]
+mod exactness;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cqs_core::{ComparisonSummary, RankEstimator};

@@ -1,12 +1,13 @@
-//! The original banded Greenwald–Khanna summary.
+//! The original banded Greenwald–Khanna summary: the shared
+//! [`TupleList`] core (fresh run, readers, merge) plus the band-based
+//! COMPRESS of the GK analysis, the one part that is this variant's own.
+
+use std::borrow::Cow;
 
 use cqs_core::{ComparisonSummary, MergeError, MergeableSummary, RankEstimator};
 
 use crate::band::band;
-use crate::tuple::{
-    estimate_rank_from_tuples, merge_sorted_chunk, merge_tuple_lists, query_rank_from_tuples,
-    validate_tuple_parts, GkTuple,
-};
+use crate::tuple::{default_period, GkTuple, TupleList};
 
 /// The Greenwald–Khanna ε-approximate quantile summary (SIGMOD 2001),
 /// with the band-based COMPRESS and subtree merging of the original
@@ -14,17 +15,8 @@ use crate::tuple::{
 /// in `cqs-core`.
 #[derive(Clone, Debug)]
 pub struct GkSummary<T> {
-    tuples: Vec<GkTuple<T>>,
-    n: u64,
-    eps: f64,
-    compress_period: u64,
-    /// COMPRESS scratch (band per tuple / merge flags / chunk-merge
-    /// middle), kept across calls so the periodic compress and the
-    /// sorted-run merge do not allocate on the adversary's hot path.
-    /// Transient: excluded from snapshots and rebuilt empty on restore.
-    scratch_bands: Vec<u32>,
-    scratch_remove: Vec<bool>,
-    scratch_mid: Vec<GkTuple<T>>,
+    list: TupleList<T>,
+    bands: Bands,
 }
 
 impl<T: Ord + Clone> GkSummary<T> {
@@ -34,8 +26,7 @@ impl<T: Ord + Clone> GkSummary<T> {
     ///
     /// Panics on an out-of-range ε.
     pub fn new(eps: f64) -> Self {
-        let period = (1.0 / (2.0 * eps)).floor().max(1.0) as u64;
-        Self::with_compress_period(eps, period)
+        Self::with_compress_period(eps, default_period(eps))
     }
 
     /// Creates a summary that runs COMPRESS every `period` inserts
@@ -47,179 +38,88 @@ impl<T: Ord + Clone> GkSummary<T> {
     ///
     /// Panics on an out-of-range ε or a zero period.
     pub fn with_compress_period(eps: f64, period: u64) -> Self {
-        assert!(eps > 0.0 && eps < 0.5, "eps must be in (0, 0.5)");
-        assert!(period >= 1, "compress period must be positive");
+        Self::from_list(TupleList::new(eps, period))
+    }
+
+    fn from_list(list: TupleList<T>) -> Self {
         GkSummary {
-            tuples: Vec::new(),
-            n: 0,
-            eps,
-            compress_period: period,
-            scratch_bands: Vec::new(),
-            scratch_remove: Vec::new(),
-            scratch_mid: Vec::new(),
+            list,
+            bands: Bands::default(),
         }
     }
 
     /// The configured ε.
     pub fn eps(&self) -> f64 {
-        self.eps
+        self.list.eps
     }
 
-    /// The COMPRESS threshold ⌊2εn⌋ at the current stream length.
-    fn threshold(&self) -> u64 {
-        (2.0 * self.eps * self.n as f64).floor() as u64
-    }
-
-    /// Exposes the raw tuples (diagnostics and tests).
-    pub fn tuples(&self) -> &[GkTuple<T>] {
-        &self.tuples
+    /// The tuples in order, pending inserts included (diagnostics).
+    pub fn tuples(&self) -> Cow<'_, [GkTuple<T>]> {
+        self.list.tuples()
     }
 
     /// The persistent state as `(tuples, n, eps, compress_period)` —
-    /// everything a snapshot must carry; the scratch buffers are
-    /// transient and rebuilt empty on restore.
-    pub fn snapshot_parts(&self) -> (&[GkTuple<T>], u64, f64, u64) {
-        (&self.tuples, self.n, self.eps, self.compress_period)
+    /// everything a snapshot must carry.
+    pub fn snapshot_parts(&self) -> (Cow<'_, [GkTuple<T>]>, u64, f64, u64) {
+        self.list.snapshot_parts()
     }
 
-    /// Rebuilds a summary from snapshot parts, validating every
-    /// structural invariant a corrupt snapshot could violate — ε range,
-    /// positive period, sorted tuples with positive `g`, total `g` mass
-    /// equal to `n`, and the GK span invariant — and returning a
-    /// diagnostic instead of constructing a broken summary.
+    /// Rebuilds a summary from snapshot parts, returning a diagnostic
+    /// instead of a broken summary when a structural invariant fails.
     pub fn from_snapshot_parts(
         tuples: Vec<GkTuple<T>>,
         n: u64,
         eps: f64,
         compress_period: u64,
     ) -> Result<Self, String> {
-        validate_tuple_parts(&tuples, n, eps, compress_period)?;
-        let s = GkSummary {
-            tuples,
-            n,
-            eps,
-            compress_period,
-            scratch_bands: Vec::new(),
-            scratch_remove: Vec::new(),
-            scratch_mid: Vec::new(),
-        };
-        if !s.invariant_holds() {
-            return Err("snapshot violates the GK span invariant g+Δ ≤ ⌊2εn⌋".to_string());
-        }
-        Ok(s)
+        TupleList::from_parts(tuples, n, eps, compress_period).map(Self::from_list)
     }
 
-    /// Merges another GK summary into this one.
-    ///
-    /// Standard GK merge (cf. the Mergeable Summaries line of work): the
-    /// tuple lists are interleaved in sorted order and each tuple's rank
-    /// bounds are widened by the bracketing tuples of the other summary:
-    ///
-    /// ```text
-    ///   r_min'(x) = r_min_A(x) + r_min_B(pred_B(x))
-    ///   r_max'(x) = r_max_A(x) + r_max_B(succ_B(x)) − 1
-    /// ```
-    ///
-    /// The merged summary answers within (ε_A + ε_B)·(n_A + n_B); `self`
-    /// adopts ε_A + ε_B so its invariant and future compressions remain
-    /// coherent. Merging is therefore best done in a balanced tree over
-    /// shards, giving ε·log(shards) total error.
+    /// Merges another GK summary into this one (widened-bounds interleave,
+    /// then a banded COMPRESS). `self` adopts ε_A + ε_B, so merging is
+    /// best done in a balanced tree over shards: ε·log(shards) in total.
     pub fn merge(&mut self, other: &GkSummary<T>) {
-        if other.tuples.is_empty() {
-            return;
-        }
-        if self.tuples.is_empty() {
-            // Adopting the other side wholesale is the one unavoidable
-            // copy: merge takes `&other` by contract.
-            // cqs-lint: allow(hot-path-alloc)
-            self.tuples = other.tuples.clone();
-            self.n = other.n;
-            self.eps = (self.eps + other.eps).min(0.499);
-            return;
-        }
-        let (na, nb) = (self.n, other.n);
-        self.tuples = merge_tuple_lists(&self.tuples, &other.tuples, na, nb);
-        self.n = na + nb;
-        self.eps = (self.eps + other.eps).min(0.499);
-        self.compress_period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
-        self.compress();
+        self.list
+            .merge(&other.list, |ts, thr| self.bands.compress(ts, thr));
     }
 
-    /// Certified rank bounds for any universe item `q`: the true number
-    /// of stream items ≤ q lies in the returned `[lo, hi]` interval.
-    /// The interval width is at most 2εn + 1 by the GK invariant.
+    /// Certified bounds `[lo, hi]` on the number of stream items ≤ `q`,
+    /// at most 2εn + 1 apart by the GK invariant.
     pub fn rank_bounds(&self, q: &T) -> (u64, u64) {
-        if self.tuples.is_empty() {
-            return (0, 0);
-        }
-        if *q < self.tuples[0].v {
-            return (0, 0);
-        }
-        let mut r_min = 0u64;
-        let mut last_le_rmin = 0u64;
-        for t in &self.tuples {
-            r_min += t.g;
-            if t.v <= *q {
-                last_le_rmin = r_min;
-            } else {
-                // True rank is at least the last ≤-tuple's minimum rank
-                // and strictly below this tuple's maximum rank.
-                return (last_le_rmin, (r_min + t.delta).saturating_sub(1));
-            }
-        }
-        (last_le_rmin, self.n)
+        self.list.rank_bounds(q)
     }
 
-    /// The summary's internal invariant: every tuple span `g_i + Δ_i`
-    /// is at most ⌊2εn⌋ (grace-period aside for the first 1/(2ε) items).
+    /// The span invariant: every `g_i + Δ_i` is at most ⌊2εn⌋.
     pub fn invariant_holds(&self) -> bool {
-        let cap = self.threshold().max(1);
-        self.tuples.iter().all(|t| t.g + t.delta <= cap)
+        self.list.invariant_holds()
     }
+}
 
-    fn insert_value(&mut self, item: T) {
-        let pos = self.tuples.partition_point(|t| t.v < item);
-        // Δ for an interior insert is ⌊2εn⌋ − 1; 0 at either end (the
-        // new extreme has exact rank) and during the initial grace
-        // period where everything is stored.
-        let thr = self.threshold();
-        let delta = if pos == 0 || pos == self.tuples.len() || thr < 1 {
-            0
-        } else {
-            thr.saturating_sub(1)
-        };
-        self.tuples.insert(
-            pos,
-            GkTuple {
-                v: item,
-                g: 1,
-                delta,
-            },
-        );
-        self.n += 1;
-        if self.n.is_multiple_of(self.compress_period) {
-            self.compress();
-        }
-    }
+/// COMPRESS scratch (band per tuple, merge flags), kept across calls so
+/// the periodic compress does not allocate. Transient: not in snapshots.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Bands {
+    band: Vec<u32>,
+    remove: Vec<bool>,
+}
 
+impl Bands {
     /// The band-based COMPRESS: walk right-to-left; a tuple whose band
     /// does not exceed its successor's is merged — together with its
     /// band-subtree of preceding lower-band tuples — into the successor,
-    /// provided the combined span stays below ⌊2εn⌋.
-    fn compress(&mut self) {
-        let thr = self.threshold();
-        if thr < 2 || self.tuples.len() < 3 {
+    /// provided the combined span stays below `thr` = ⌊2εn⌋.
+    pub(crate) fn compress<T>(&mut self, tuples: &mut Vec<GkTuple<T>>, thr: u64) {
+        if thr < 2 || tuples.len() < 3 {
             return;
         }
-        let mut bands = std::mem::take(&mut self.scratch_bands);
+        let (bands, remove) = (&mut self.band, &mut self.remove);
         bands.clear();
-        bands.extend(self.tuples.iter().map(|t| band(t.delta.min(thr), thr)));
-        // Collect merges on a right-to-left pass, then apply in one
-        // sweep to keep the pass O(s).
-        let mut remove = std::mem::take(&mut self.scratch_remove);
+        bands.extend(tuples.iter().map(|t| band(t.delta.min(thr), thr)));
+        // Collect merges on a right-to-left pass, then apply in one sweep
+        // to keep the pass O(s).
         remove.clear();
-        remove.resize(self.tuples.len(), false);
-        let mut i = self.tuples.len() as isize - 2;
+        remove.resize(tuples.len(), false);
+        let mut i = tuples.len() as isize - 2;
         while i >= 1 {
             let iu = i as usize;
             let succ = iu + 1;
@@ -231,13 +131,13 @@ impl<T: Ord + Clone> GkSummary<T> {
                 // Extent of i's band-subtree: consecutive predecessors
                 // with strictly smaller bands (the "descendants").
                 let mut start = iu;
-                let mut g_star = self.tuples[iu].g;
+                let mut g_star = tuples[iu].g;
                 while start > 1 && bands[start - 1] < bands[iu] {
                     start -= 1;
-                    g_star += self.tuples[start].g;
+                    g_star += tuples[start].g;
                 }
-                if g_star + self.tuples[succ].g + self.tuples[succ].delta < thr {
-                    self.tuples[succ].g += g_star;
+                if g_star + tuples[succ].g + tuples[succ].delta < thr {
+                    tuples[succ].g += g_star;
                     for flag in remove.iter_mut().take(iu + 1).skip(start) {
                         *flag = true;
                     }
@@ -249,103 +149,47 @@ impl<T: Ord + Clone> GkSummary<T> {
         }
         if remove.iter().any(|&r| r) {
             let mut idx = 0;
-            self.tuples.retain(|_| {
+            tuples.retain(|_| {
                 let keep = !remove[idx];
                 idx += 1;
                 keep
             });
         }
-        self.scratch_bands = bands;
-        self.scratch_remove = remove;
     }
 }
 
 impl<T: Ord + Clone> ComparisonSummary<T> for GkSummary<T> {
     fn insert(&mut self, item: T) {
-        self.insert_value(item);
+        self.list.push(item, |ts, thr| self.bands.compress(ts, thr));
     }
 
     fn insert_sorted_run(&mut self, run: &[T]) -> usize {
-        debug_assert!(
-            run.windows(2).all(|w| w[0] <= w[1]),
-            "insert_sorted_run requires a non-decreasing run"
-        );
-        let mut peak = 0usize;
-        let mut rest = run;
-        while !rest.is_empty() {
-            // Slice the run at the next compress boundary so the chunk
-            // merge never has to interleave with COMPRESS.
-            let until = (self.compress_period - self.n % self.compress_period) as usize;
-            let (chunk, tail) = rest.split_at(until.min(rest.len()));
-            merge_sorted_chunk(
-                &mut self.tuples,
-                &mut self.n,
-                self.eps,
-                chunk,
-                &mut self.scratch_mid,
-            );
-            let pre_compress = self.tuples.len();
-            if self.n.is_multiple_of(self.compress_period) {
-                self.compress();
-                // The per-item path polls |I| after every insert (incl.
-                // the compressing one), so it never observes the full
-                // pre-compress length — only up to one item before it.
-                let post = self.tuples.len();
-                peak = peak.max(if chunk.len() >= 2 {
-                    (pre_compress - 1).max(post)
-                } else {
-                    post
-                });
-            } else {
-                peak = peak.max(pre_compress);
-            }
-            rest = tail;
-        }
-        peak
+        self.list
+            .insert_sorted_run(run, |ts, thr| self.bands.compress(ts, thr))
     }
 
     fn item_array(&self) -> Vec<T> {
-        self.tuples.iter().map(|t| t.v.clone()).collect()
+        self.list.item_array()
     }
 
     fn for_each_item(&self, f: &mut dyn FnMut(&T)) {
-        for t in &self.tuples {
-            f(&t.v);
-        }
+        self.list.for_each_item(f)
     }
 
     fn for_each_item_between(&self, lo: Option<&T>, hi: Option<&T>, f: &mut dyn FnMut(&T)) {
-        // Both bounds become plain indices (ranks) via partition scans,
-        // so the visit loop below runs comparison-free: the per-tuple
-        // `>= hi` probe was a deep label comparison on every visited
-        // item of the gap scan.
-        let mut start = 0;
-        if let Some(lo) = lo {
-            start = self.tuples.partition_point(|t| &t.v <= lo);
-        }
-        let mut end = self.tuples.len();
-        if let Some(hi) = hi {
-            end = start
-                + self
-                    .tuples
-                    .get(start..)
-                    .map_or(0, |ts| ts.partition_point(|t| &t.v < hi));
-        }
-        for t in self.tuples.get(start..end).unwrap_or(&[]) {
-            f(&t.v);
-        }
+        self.list.for_each_item_between(lo, hi, f)
     }
 
     fn stored_count(&self) -> usize {
-        self.tuples.len()
+        self.list.len()
     }
 
     fn items_processed(&self) -> u64 {
-        self.n
+        self.list.n
     }
 
     fn query_rank(&self, r: u64) -> Option<T> {
-        query_rank_from_tuples(&self.tuples, r, self.n)
+        self.list.query_rank(r)
     }
 
     fn name(&self) -> &'static str {
@@ -355,31 +199,20 @@ impl<T: Ord + Clone> ComparisonSummary<T> for GkSummary<T> {
 
 impl<T: Ord + Clone> RankEstimator<T> for GkSummary<T> {
     fn estimate_rank(&self, q: &T) -> u64 {
-        estimate_rank_from_tuples(&self.tuples, q, self.n)
+        self.list.estimate_rank(q)
     }
 }
 
 impl<T: Ord + Clone> MergeableSummary<T> for GkSummary<T> {
-    /// The principled merge path: refuse up front when the composed ε
-    /// leaves (0, 0.5), fold via [`GkSummary::merge`], then re-validate
-    /// the GK span invariant under the composed ε — the check that makes
-    /// shard composition trustworthy rather than assumed.
+    /// [`GkSummary::merge`], refused up front when the composed ε leaves
+    /// (0, 0.5) and re-validating the span invariant under it after.
     fn try_merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        let composed = self.eps + other.eps;
-        if !(composed > 0.0 && composed < 0.5) {
-            return Err(MergeError::EpsOverflow { composed });
-        }
-        self.merge(other);
-        if !self.invariant_holds() {
-            return Err(MergeError::InvariantViolated {
-                detail: format!("GK span invariant g+Δ ≤ ⌊2εn⌋ at eps {}", self.eps),
-            });
-        }
-        Ok(())
+        self.list
+            .try_merge(&other.list, |ts, thr| self.bands.compress(ts, thr))
     }
 
     fn eps_bound(&self) -> Option<f64> {
-        Some(self.eps)
+        Some(self.list.eps)
     }
 }
 

@@ -1,4 +1,24 @@
-//! The GK tuple `(v, g, Δ)` and shared tuple-list plumbing.
+//! The GK tuple `(v, g, Δ)` and [`TupleList`], the core both GK variants
+//! hold: inserts, readers, snapshot parts and merge. The variants differ
+//! only in COMPRESS, which they pass in as a closure.
+//!
+//! A per-item insert does not shift the tuple vector: it lands in a small
+//! sorted *fresh run*, spliced into the tuples in one pass when full, at
+//! every compress boundary, and before a sorted-run insert or a merge.
+//! This is exact. An item's Δ depends only on whether it lands first or
+//! last in the list at arrival, and sequential inserts put equal items
+//! newest first, so a fresh tuple gets its final Δ on arrival. The
+//! *logical* list (the tuples merged with the fresh run, fresh first among
+//! equals) is then after every insert the list that a binary search plus
+//! `Vec::insert` per item builds, and it is what every reader sees.
+
+use std::borrow::Cow;
+use std::ops::ControlFlow;
+
+use cqs_core::MergeError;
+
+/// Per-item inserts buffered in the fresh run before one splice.
+const FRESH_CAP: usize = 256;
 
 /// One stored tuple of a GK-family summary.
 ///
@@ -16,282 +36,573 @@ pub struct GkTuple<T> {
     pub delta: u64,
 }
 
-/// Structural validation shared by the banded and greedy snapshot
-/// restore paths: ε in range, positive compress period, tuples sorted
-/// non-decreasing by value, and total `g` mass equal to the stream
-/// length. Returns a diagnostic for the first violation found.
-pub(crate) fn validate_tuple_parts<T: Ord>(
-    tuples: &[GkTuple<T>],
-    n: u64,
-    eps: f64,
-    compress_period: u64,
-) -> Result<(), String> {
-    if !(eps > 0.0 && eps < 0.5) {
-        return Err(format!("snapshot eps {eps} outside (0, 0.5)"));
-    }
-    if compress_period < 1 {
-        return Err("snapshot compress period must be positive".to_string());
-    }
-    if !tuples.windows(2).all(|w| match (w.first(), w.last()) {
-        (Some(a), Some(b)) => a.v <= b.v,
-        _ => true,
-    }) {
-        return Err("snapshot tuples are not sorted by value".to_string());
-    }
-    let mass: u64 = tuples.iter().map(|t| t.g).sum();
-    if mass != n {
-        return Err(format!(
-            "snapshot g mass {mass} disagrees with stream length {n}"
-        ));
-    }
-    Ok(())
+/// The canonical compress period ⌊1/(2ε)⌋, at least 1.
+pub(crate) fn default_period(eps: f64) -> u64 {
+    (1.0 / (2.0 * eps)).floor().max(1.0) as u64
 }
 
-/// Shared query logic over a tuple list with running minimum-rank sums.
-/// Returns a stored item whose rank bounds bracket `r` within the
-/// available uncertainty budget (the caller's invariant guarantees one
-/// exists whenever the summary is within its advertised ε).
-pub(crate) fn query_rank_from_tuples<T: Clone>(tuples: &[GkTuple<T>], r: u64, n: u64) -> Option<T> {
-    if tuples.is_empty() {
-        return None;
+/// The number of leading tuples of `ts` below `x`, by galloping: probes
+/// at 0, 2, 6, 14, … then a binary search, so near answers cost little.
+fn gallop<T: Ord>(ts: &[GkTuple<T>], x: &T) -> usize {
+    let (mut lo, mut hi) = (0, 0);
+    while ts.get(hi).is_some_and(|t| t.v < *x) {
+        lo = hi + 1;
+        hi = 2 * hi + 2;
     }
-    let r = r.clamp(1, n);
-    // Return the tuple minimizing the worst-side deviation
-    // max(|r_min − r|, |r_max − r|). The GK invariant guarantees some
-    // tuple has deviation ≤ ⌈max_i(g_i + Δ_i)/2⌉ ≤ ⌈εn⌉, so the best
-    // tuple certainly does.
-    let mut r_min = 0u64;
-    let mut best: Option<(&GkTuple<T>, u64)> = None;
-    for t in tuples {
-        r_min += t.g;
-        let r_max = r_min + t.delta;
-        let dev = (r_min.abs_diff(r)).max(r_max.abs_diff(r));
-        if best.map(|(_, d)| dev < d).unwrap_or(true) {
-            best = Some((t, dev));
-        }
-    }
-    best.map(|(t, _)| t.v.clone())
-}
-
-/// Shared rank-estimation logic: the midpoint estimator
-/// `(r_min(i) + r_max(i+1) − 1)/2` for the last tuple with `v_i ≤ q`.
-pub(crate) fn estimate_rank_from_tuples<T: Ord>(tuples: &[GkTuple<T>], q: &T, n: u64) -> u64 {
-    if tuples.is_empty() {
-        return 0;
-    }
-    if *q < tuples[0].v {
-        return 0;
-    }
-    let mut r_min = 0u64;
-    let mut prev_r_min = 0u64;
-    let mut idx_le: Option<usize> = None;
-    for (idx, t) in tuples.iter().enumerate() {
-        r_min += t.g;
-        if t.v <= *q {
-            idx_le = Some(idx);
-            prev_r_min = r_min;
+    // Everything before `lo` is below x; `ts[hi]`, if any, is not.
+    hi = hi.min(ts.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ts.get(mid).is_some_and(|t| t.v < *x) {
+            lo = mid + 1;
         } else {
-            // First tuple above q: estimate between prev r_min and this
-            // tuple's r_max.
-            let r_max_next = r_min + t.delta;
-            return (prev_r_min + r_max_next.saturating_sub(1)) / 2;
+            hi = mid;
         }
     }
-    debug_assert!(idx_le.is_some());
-    n
+    lo
 }
 
-/// Merges two GK tuple lists by value with widened rank bounds — the
-/// standard mergeable-summaries composition (Agarwal et al.): each
-/// emitted tuple's bounds are those of its source widened by the
-/// bracketing tuples of the *other* list,
-///
-/// ```text
-///   r_min'(x) = r_min_A(x) + r_min_B(pred_B(x))
-///   r_max'(x) = r_max_A(x) + r_max_B(succ_B(x)) − 1
-/// ```
-///
-/// after which `(g, Δ)` are re-derived from the widened bounds. The
-/// result summarises the concatenated streams (lengths `na + nb`) with
-/// error at most (ε_A + ε_B)·(n_A + n_B); both the banded and the
-/// greedy variant compress it under their own policy afterwards.
-pub(crate) fn merge_tuple_lists<T: Ord + Clone>(
-    a: &[GkTuple<T>],
-    b: &[GkTuple<T>],
-    na: u64,
-    nb: u64,
-) -> Vec<GkTuple<T>> {
-    // Prefix rank bounds for both sides.
-    let bounds = |ts: &[GkTuple<T>]| -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(ts.len());
-        let mut r_min = 0u64;
-        for t in ts {
-            r_min += t.g;
-            out.push((r_min, r_min + t.delta));
-        }
-        out
-    };
-    let ba = bounds(a);
-    let bb = bounds(b);
-
-    // Merge by value; for each emitted tuple compute widened bounds.
-    let mut merged: Vec<(T, u64, u64)> = Vec::with_capacity(ba.len() + bb.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        // The loop condition guarantees at least one side is non-empty,
-        // so (None, None) cannot occur; folding it into the take-b arm
-        // keeps the merge panic-free.
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => x.v <= y.v,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let (v, own, other_ts, other_bounds, other_n, pos) = if take_a {
-            (a[i].v.clone(), ba[i], b, &bb, nb, j)
-        } else {
-            (b[j].v.clone(), bb[j], a, &ba, na, i)
-        };
-        // pred: last tuple of the other side with value <= v is at
-        // pos−1 (the cursor has consumed exactly those); succ is at pos.
-        let pred_min = if pos == 0 { 0 } else { other_bounds[pos - 1].0 };
-        let succ_max = match other_ts.get(pos) {
-            Some(_) => other_bounds[pos].1.saturating_sub(1),
-            None => other_n,
-        };
-        let r_min = own.0 + pred_min;
-        let r_max = (own.1 + succ_max).max(r_min);
-        merged.push((v, r_min, r_max));
-        if take_a {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-
-    // Re-derive (g, Δ) from the widened bounds.
-    let mut tuples = Vec::with_capacity(merged.len());
-    let mut prev_min = 0u64;
-    for (v, r_min, r_max) in merged {
-        let r_min = r_min.max(prev_min); // monotone by construction; guard anyway
-        tuples.push(GkTuple {
-            v,
-            g: r_min - prev_min,
-            delta: r_max.saturating_sub(r_min),
-        });
-        prev_min = r_min;
-    }
-    debug_assert_eq!(prev_min, na + nb, "merged rank mass mismatch");
-    tuples
+/// A fresh tuple: Δ = ⌊2εn⌋ − 1 at threshold `thr`, or 0 where its rank
+/// is exact.
+fn arrival<T>(v: T, thr: u64, exact: bool) -> GkTuple<T> {
+    let delta = if exact { 0 } else { thr - 1 };
+    GkTuple { v, g: 1, delta }
 }
 
-/// Merges a non-decreasing `chunk` of fresh items into `tuples` in one
-/// pass, replicating — tuple for tuple — what the sequential
-/// `insert_value` loop would build, minus the per-item binary search and
-/// `Vec::insert` shuffles. The caller guarantees no COMPRESS fires
-/// inside the chunk (it slices runs at compress-period boundaries), so
-/// the only sequential effects to reproduce are the position-dependent
-/// Δ assignment and the placement of duplicates:
-///
-/// * `pos == 0` for item x ⟺ no tuple with `v < x` had been emitted;
-/// * `pos == len` ⟺ the old list is fully consumed *and* x is the first
-///   of its equal group (earlier equals sit at/after the insertion
-///   point);
-/// * sequential inserts place each new equal item *before* the previous
-///   ones, so an equal group is emitted in reverse insertion order.
-///
-/// `n` advances by one per item; Δ uses the threshold ⌊2εn⌋ evaluated
-/// *before* each increment, exactly as `insert_value` does.
-pub(crate) fn merge_sorted_chunk<T: Ord + Clone>(
-    tuples: &mut Vec<GkTuple<T>>,
-    n: &mut u64,
-    eps: f64,
-    chunk: &[T],
-    mid: &mut Vec<GkTuple<T>>,
-) {
-    if chunk.is_empty() {
-        return;
+/// The logical list in order: each fresh tuple before the spliced
+/// tuples equal to it.
+struct Merged<'a, T> {
+    tuples: &'a [GkTuple<T>],
+    fresh: &'a [GkTuple<T>],
+    /// Spliced tuples still to emit before `fresh[0]`.
+    before: usize,
+}
+
+impl<'a, T: Ord> Merged<'a, T> {
+    fn new(tuples: &'a [GkTuple<T>], fresh: &'a [GkTuple<T>]) -> Self {
+        let before = Self::cut(tuples, fresh);
+        Merged {
+            tuples,
+            fresh,
+            before,
+        }
     }
-    // Tuples below the chunk's smallest item are untouched, so the merge
-    // materializes only the interleaved middle (consumed old tuples plus
-    // the chunk) and splices it over the consumed range; `mid` is
-    // caller-owned scratch so repeated runs reuse one buffer. The
-    // adversary's runs land inside one refined interval, where this
-    // turns the old whole-list rebuild into a short middle plus one
-    // tail move.
-    let lo = tuples.partition_point(|t| t.v < chunk[0]);
-    let mut cur = lo;
-    mid.clear();
-    let mut idx = 0usize;
-    while idx < chunk.len() {
-        let x = &chunk[idx];
-        let mut end = idx + 1;
-        while end < chunk.len() && chunk[end] == *x {
-            end += 1;
+
+    fn cut(tuples: &[GkTuple<T>], fresh: &[GkTuple<T>]) -> usize {
+        fresh.first().map_or(tuples.len(), |f| gallop(tuples, &f.v))
+    }
+}
+
+impl<'a, T: Ord> Iterator for Merged<'a, T> {
+    type Item = &'a GkTuple<T>;
+
+    fn next(&mut self) -> Option<&'a GkTuple<T>> {
+        if self.before == 0 {
+            if let Some((f, rest)) = self.fresh.split_first() {
+                self.fresh = rest;
+                self.before = Self::cut(self.tuples, rest);
+                return Some(f);
+            }
         }
-        while cur < tuples.len() && tuples[cur].v < *x {
-            mid.push(tuples[cur].clone());
-            cur += 1;
+        let (t, rest) = self.tuples.split_first()?;
+        self.tuples = rest;
+        self.before = self.before.saturating_sub(1);
+        Some(t)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.tuples.len() + self.fresh.len();
+        (len, Some(len))
+    }
+}
+
+/// The state both GK variants share.
+#[derive(Clone, Debug)]
+pub(crate) struct TupleList<T> {
+    /// Spliced tuples, sorted by value.
+    tuples: Vec<GkTuple<T>>,
+    /// Pending inserts with their final Δ, sorted, equal values newest
+    /// first. Splices and merges also build their output in it, past the
+    /// run, so a summary carries one buffer (the adversary builds many).
+    fresh: Vec<GkTuple<T>>,
+    pub(crate) n: u64,
+    pub(crate) eps: f64,
+    pub(crate) compress_period: u64,
+}
+
+impl<T: Ord + Clone> TupleList<T> {
+    /// An empty list; panics on ε outside (0, 0.5) or a zero period.
+    pub(crate) fn new(eps: f64, period: u64) -> Self {
+        assert!(eps > 0.0 && eps < 0.5, "eps must be in (0, 0.5)");
+        assert!(period >= 1, "compress period must be positive");
+        Self::from_tuples(Vec::new(), 0, eps, period)
+    }
+
+    fn from_tuples(tuples: Vec<GkTuple<T>>, n: u64, eps: f64, compress_period: u64) -> Self {
+        TupleList {
+            tuples,
+            fresh: Vec::new(),
+            n,
+            eps,
+            compress_period,
         }
-        let any_lt = lo > 0 || !mid.is_empty();
-        let old_empty = cur == tuples.len();
-        let group_start = mid.len();
-        for j in 0..end - idx {
-            let thr = (2.0 * eps * *n as f64).floor() as u64;
-            let delta = if !any_lt || (old_empty && j == 0) || thr < 1 {
-                0
-            } else {
-                thr.saturating_sub(1)
+    }
+
+    /// Rebuilds a list from snapshot parts, or diagnoses a bad ε or period,
+    /// unsorted tuples, `g` mass other than `n`, or a broken span invariant.
+    pub(crate) fn from_parts(
+        tuples: Vec<GkTuple<T>>,
+        n: u64,
+        eps: f64,
+        compress_period: u64,
+    ) -> Result<Self, String> {
+        if !(eps > 0.0 && eps < 0.5) {
+            return Err(format!("snapshot eps {eps} outside (0, 0.5)"));
+        }
+        if compress_period < 1 {
+            return Err("snapshot compress period must be positive".to_string());
+        }
+        if !tuples
+            .windows(2)
+            .all(|w| w.first().map(|t| &t.v) <= w.last().map(|t| &t.v))
+        {
+            return Err("snapshot tuples are not sorted by value".to_string());
+        }
+        let mass: u64 = tuples.iter().map(|t| t.g).sum();
+        if mass != n {
+            return Err(format!(
+                "snapshot g mass {mass} disagrees with stream length {n}"
+            ));
+        }
+        let list = Self::from_tuples(tuples, n, eps, compress_period);
+        if !list.invariant_holds() {
+            return Err("snapshot violates the GK span invariant g+Δ ≤ ⌊2εn⌋".to_string());
+        }
+        Ok(list)
+    }
+
+    /// The COMPRESS threshold ⌊2εn⌋ at the current stream length.
+    pub(crate) fn threshold(&self) -> u64 {
+        (2.0 * self.eps * self.n as f64).floor() as u64
+    }
+
+    /// Stored tuples, fresh run included.
+    pub(crate) fn len(&self) -> usize {
+        self.tuples.len() + self.fresh.len()
+    }
+
+    /// The tuple vector with the fresh run spliced in, for COMPRESS.
+    pub(crate) fn spliced(&mut self) -> &mut Vec<GkTuple<T>> {
+        self.splice();
+        &mut self.tuples
+    }
+
+    /// Inserts one item into the fresh run; at a compress boundary the
+    /// run is spliced and `compress` runs.
+    pub(crate) fn push(&mut self, item: T, compress: impl FnOnce(&mut Vec<GkTuple<T>>, u64)) {
+        let at = self.fresh.partition_point(|t| t.v < item);
+        // Δ is ⌊2εn⌋ − 1 inside the logical list, 0 at either end and in
+        // the grace period; the tuples are consulted only at a run end.
+        let thr = self.threshold();
+        let exact = thr < 1
+            || (at == 0 && self.tuples.first().is_none_or(|t| item <= t.v))
+            || (at == self.fresh.len() && self.tuples.last().is_none_or(|t| t.v < item));
+        self.fresh.insert(at, arrival(item, thr, exact));
+        self.n += 1;
+        let due = self.n.is_multiple_of(self.compress_period);
+        if due || self.fresh.len() >= FRESH_CAP {
+            self.splice();
+        }
+        if due {
+            let thr = self.threshold();
+            compress(&mut self.tuples, thr);
+        }
+    }
+
+    /// Splices the fresh run in. A run in one gap (the adversary's) moves
+    /// the tail once. Otherwise tuples outside its span stay put, and the
+    /// span is copied past the run, interleaved with copies of the fresh
+    /// tuples at galloped positions, and goes back by one `Vec::splice`.
+    fn splice(&mut self) {
+        let (Some(first), Some(last)) = (self.fresh.first(), self.fresh.last()) else {
+            return;
+        };
+        let lo = gallop(&self.tuples, &first.v);
+        if self.tuples.get(lo).is_none_or(|t| last.v <= t.v) {
+            self.tuples.splice(lo..lo, self.fresh.drain(..));
+            return;
+        }
+        let (run, mut at) = (self.fresh.len(), lo);
+        for j in 0..run {
+            let Some(f) = self.fresh.get(j).cloned() else {
+                break;
             };
-            mid.push(GkTuple {
-                v: x.clone(),
-                g: 1,
-                delta,
-            });
-            *n += 1;
+            let rest = self.tuples.get(at..).unwrap_or_default();
+            let below = gallop(rest, &f.v);
+            self.fresh
+                .extend_from_slice(rest.get(..below).unwrap_or_default());
+            self.fresh.push(f);
+            at += below;
         }
-        mid[group_start..].reverse();
-        idx = end;
+        self.tuples.splice(lo..at, self.fresh.drain(run..));
+        self.fresh.clear();
     }
-    tuples.splice(lo..cur, mid.drain(..));
+
+    /// Stages a sorted `chunk` in the empty fresh run as per-item inserts
+    /// would store it: equal items newest first, Δ = 0 with nothing below
+    /// or, for the first of a group, nothing at or above.
+    fn stage_sorted(&mut self, chunk: &[T]) {
+        let Some(first) = chunk.first() else {
+            return;
+        };
+        // Only the first equal group can have nothing below it, and the
+        // items above the last spliced tuple form a suffix of the chunk.
+        let any_below = self.tuples.first().is_some_and(|t| t.v < *first);
+        let above = match (self.tuples.last(), chunk.last()) {
+            (Some(t), Some(x)) if *x <= t.v => chunk.len(),
+            (Some(t), _) => chunk.partition_point(|x| *x <= t.v),
+            (None, _) => 0,
+        };
+        let mut idx = 0;
+        while let Some(x) = chunk.get(idx) {
+            let mut end = idx + 1;
+            while chunk.get(end).is_some_and(|y| y == x) {
+                end += 1;
+            }
+            let start = self.fresh.len();
+            for j in idx..end {
+                let thr = self.threshold();
+                let exact = thr < 1 || (idx == 0 && !any_below) || (j == idx && idx >= above);
+                self.fresh.push(arrival(x.clone(), thr, exact));
+                self.n += 1;
+            }
+            self.fresh.split_at_mut(start).1.reverse();
+            idx = end;
+        }
+    }
+
+    /// Inserts a sorted run exactly as per-item inserts would, returning
+    /// the largest stored count they would show; pieces cut at compress
+    /// boundaries and the run capacity are staged and spliced in turn.
+    pub(crate) fn insert_sorted_run(
+        &mut self,
+        run: &[T],
+        mut compress: impl FnMut(&mut Vec<GkTuple<T>>, u64),
+    ) -> usize {
+        debug_assert!(
+            run.windows(2).all(|w| w.first() <= w.last()),
+            "insert_sorted_run requires a non-decreasing run"
+        );
+        self.splice();
+        let mut peak = 0usize;
+        let mut rest = run;
+        while !rest.is_empty() {
+            let until = (self.compress_period - self.n % self.compress_period) as usize;
+            let (chunk, tail) = rest.split_at(until.min(FRESH_CAP).min(rest.len()));
+            self.stage_sorted(chunk);
+            self.splice();
+            let pre_compress = self.tuples.len();
+            if self.n.is_multiple_of(self.compress_period) {
+                let thr = self.threshold();
+                compress(&mut self.tuples, thr);
+                // Per-item callers poll |I| after each insert: they see at
+                // most the length one item before the compressing one.
+                let post = self.tuples.len();
+                peak = peak.max(if chunk.len() >= 2 {
+                    (pre_compress - 1).max(post)
+                } else {
+                    post
+                });
+            } else {
+                peak = peak.max(pre_compress);
+            }
+            rest = tail;
+        }
+        peak
+    }
+
+    /// Merges `other` in by the mergeable-summaries composition (Agarwal
+    /// et al.): the lists interleave by value (this side first among
+    /// equals) and each tuple's bounds widen by the other list's
+    /// bracketing tuples,
+    ///
+    /// ```text
+    ///   r_min'(x) = r_min_A(x) + r_min_B(pred_B(x))
+    ///   r_max'(x) = r_max_A(x) + r_max_B(succ_B(x)) − 1
+    /// ```
+    ///
+    /// then `(g, Δ)` follow: error at most (ε_A + ε_B)·(n_A + n_B). Both
+    /// branches adopt ε_A + ε_B and its period. One pass over running
+    /// `r_min` sums fills the emptied run buffer, which swaps in.
+    pub(crate) fn merge(&mut self, other: &Self, compress: impl FnOnce(&mut Vec<GkTuple<T>>, u64)) {
+        if other.len() == 0 {
+            return;
+        }
+        self.eps = (self.eps + other.eps).min(0.499);
+        self.compress_period = default_period(self.eps);
+        if self.len() == 0 {
+            self.tuples = other.iter().cloned().collect();
+            self.n = other.n;
+            return;
+        }
+        self.splice();
+        let (na, nb) = (self.n, other.n);
+        self.fresh.reserve(self.tuples.len() + other.len());
+        let mut a = self.tuples.drain(..).peekable();
+        let mut b = other.iter().peekable();
+        // Running r_min of each side's consumed prefix and of the output.
+        let (mut ra, mut rb, mut prev) = (0u64, 0u64, 0u64);
+        loop {
+            let take_a = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => x.v <= y.v,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            // Own r_min, then the other side's r_min at the predecessor and
+            // r_max at the successor (its length past its end).
+            let (t, own, pred_min, succ_max) = if take_a {
+                let Some(t) = a.next() else { break };
+                ra += t.g;
+                let succ = b
+                    .peek()
+                    .map_or(nb, |s| (rb + s.g + s.delta).saturating_sub(1));
+                (t, ra, rb, succ)
+            } else {
+                let Some(t) = b.next() else { break };
+                rb += t.g;
+                let succ = a
+                    .peek()
+                    .map_or(na, |s| (ra + s.g + s.delta).saturating_sub(1));
+                (t.clone(), rb, ra, succ)
+            };
+            let r_min = (own + pred_min).max(prev);
+            let r_max = (own + t.delta + succ_max).max(r_min);
+            self.fresh.push(GkTuple {
+                v: t.v,
+                g: r_min - prev,
+                delta: r_max - r_min,
+            });
+            prev = r_min;
+        }
+        drop(a);
+        debug_assert_eq!(prev, na + nb, "merged rank mass mismatch");
+        std::mem::swap(&mut self.tuples, &mut self.fresh);
+        self.n = na + nb;
+        let thr = self.threshold();
+        compress(&mut self.tuples, thr);
+    }
+
+    /// [`merge`](Self::merge), refused when the composed ε leaves
+    /// (0, 0.5) and re-validating the span invariant after.
+    pub(crate) fn try_merge(
+        &mut self,
+        other: &Self,
+        compress: impl FnOnce(&mut Vec<GkTuple<T>>, u64),
+    ) -> Result<(), MergeError> {
+        let composed = self.eps + other.eps;
+        if !(composed > 0.0 && composed < 0.5) {
+            return Err(MergeError::EpsOverflow { composed });
+        }
+        self.merge(other, compress);
+        if !self.invariant_holds() {
+            return Err(MergeError::InvariantViolated {
+                detail: format!("GK span invariant g+Δ ≤ ⌊2εn⌋ at eps {}", self.eps),
+            });
+        }
+        Ok(())
+    }
+
+    fn iter(&self) -> Merged<'_, T> {
+        Merged::new(&self.tuples, &self.fresh)
+    }
+
+    /// Visits the logical list until `f` breaks; a slice walk if no run.
+    fn try_visit<'a, B>(
+        &'a self,
+        f: impl FnMut(&'a GkTuple<T>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        if self.fresh.is_empty() {
+            self.tuples.iter().try_for_each(f)
+        } else {
+            self.iter().try_for_each(f)
+        }
+    }
+
+    /// The logical list, borrowed when no fresh run is pending.
+    pub(crate) fn tuples(&self) -> Cow<'_, [GkTuple<T>]> {
+        if self.fresh.is_empty() {
+            Cow::Borrowed(&self.tuples)
+        } else {
+            Cow::Owned(self.iter().cloned().collect())
+        }
+    }
+
+    /// The persistent state as `(tuples, n, eps, compress_period)`.
+    pub(crate) fn snapshot_parts(&self) -> (Cow<'_, [GkTuple<T>]>, u64, f64, u64) {
+        (self.tuples(), self.n, self.eps, self.compress_period)
+    }
+
+    /// The span invariant `g_i + Δ_i ≤ ⌊2εn⌋` (at least 1).
+    pub(crate) fn invariant_holds(&self) -> bool {
+        let cap = self.threshold().max(1);
+        self.tuples
+            .iter()
+            .chain(&self.fresh)
+            .all(|t| t.g + t.delta <= cap)
+    }
+
+    /// Visits the stored items in order.
+    pub(crate) fn for_each_item(&self, f: &mut dyn FnMut(&T)) {
+        let _ = self.try_visit(|t| {
+            f(&t.v);
+            ControlFlow::<()>::Continue(())
+        });
+    }
+
+    /// The stored items in order.
+    pub(crate) fn item_array(&self) -> Vec<T> {
+        if self.fresh.is_empty() {
+            self.tuples.iter().map(|t| t.v.clone()).collect()
+        } else {
+            self.iter().map(|t| t.v.clone()).collect()
+        }
+    }
+
+    /// Visits the stored items strictly between `lo` and `hi`. Bounds are
+    /// found by partition scans, so the visit itself compares nothing
+    /// when no fresh run is pending (the adversary's gap scan).
+    pub(crate) fn for_each_item_between(
+        &self,
+        lo: Option<&T>,
+        hi: Option<&T>,
+        f: &mut dyn FnMut(&T),
+    ) {
+        let ts = between(&self.tuples, lo, hi);
+        let fs = between(&self.fresh, lo, hi);
+        if fs.is_empty() {
+            ts.iter().for_each(|t| f(&t.v));
+        } else {
+            Merged::new(ts, fs).for_each(|t| f(&t.v));
+        }
+    }
+
+    /// The item minimising max(|r_min − r|, |r_max − r|); by the GK
+    /// invariant some tuple, hence the best, deviates by at most ⌈εn⌉.
+    pub(crate) fn query_rank(&self, r: u64) -> Option<T> {
+        if self.len() == 0 {
+            return None;
+        }
+        let r = r.clamp(1, self.n);
+        let mut r_min = 0u64;
+        let mut best: Option<(&GkTuple<T>, u64)> = None;
+        let _ = self.try_visit(|t| {
+            r_min += t.g;
+            let r_max = r_min + t.delta;
+            let dev = (r_min.abs_diff(r)).max(r_max.abs_diff(r));
+            if best.is_none_or(|(_, d)| dev < d) {
+                best = Some((t, dev));
+            }
+            ControlFlow::<()>::Continue(())
+        });
+        best.map(|(t, _)| t.v.clone())
+    }
+
+    /// The midpoint rank estimator `(r_min(i) + r_max(i+1) − 1)/2` for
+    /// the last tuple with `v_i ≤ q`.
+    pub(crate) fn estimate_rank(&self, q: &T) -> u64 {
+        match self.bracket(q) {
+            ControlFlow::Break((lo, hi)) => (lo + hi) / 2,
+            ControlFlow::Continue(_) => self.n,
+        }
+    }
+
+    /// Certified bounds `[lo, hi]` on the number of stream items ≤ q.
+    pub(crate) fn rank_bounds(&self, q: &T) -> (u64, u64) {
+        match self.bracket(q) {
+            ControlFlow::Break(bounds) => bounds,
+            ControlFlow::Continue(lo) => (lo, self.n),
+        }
+    }
+
+    /// `Break(bounds)` from the first tuple above `q`, else `Continue(lo)`.
+    fn bracket(&self, q: &T) -> ControlFlow<(u64, u64), u64> {
+        let mut r_min = 0u64;
+        let mut last_le = None;
+        self.try_visit(|t| {
+            r_min += t.g;
+            if t.v <= *q {
+                last_le = Some(r_min);
+                return ControlFlow::Continue(());
+            }
+            // At least the last ≤-tuple's r_min, below this one's r_max.
+            ControlFlow::Break(
+                last_le.map_or((0, 0), |lo| (lo, (r_min + t.delta).saturating_sub(1))),
+            )
+        })
+        .map_continue(|()| last_le.unwrap_or(0))
+    }
+}
+
+/// The tuples of sorted `ts` strictly between `lo` and `hi`.
+fn between<'a, T: Ord>(ts: &'a [GkTuple<T>], lo: Option<&T>, hi: Option<&T>) -> &'a [GkTuple<T>] {
+    let ts = lo.map_or(ts, |lo| {
+        ts.get(ts.partition_point(|t| &t.v <= lo)..)
+            .unwrap_or_default()
+    });
+    hi.map_or(ts, |hi| {
+        ts.get(..ts.partition_point(|t| &t.v < hi))
+            .unwrap_or_default()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exact_tuples(n: u64) -> Vec<GkTuple<u64>> {
-        (1..=n).map(|v| GkTuple { v, g: 1, delta: 0 }).collect()
+    fn exact_tuples(n: u64) -> TupleList<u64> {
+        let ts = (1..=n).map(|v| GkTuple { v, g: 1, delta: 0 }).collect();
+        TupleList::from_parts(ts, n, 0.1, 5).expect("valid parts")
     }
 
     #[test]
     fn query_on_exact_tuples_is_exact() {
         let ts = exact_tuples(100);
         for r in [1u64, 17, 50, 99, 100] {
-            assert_eq!(query_rank_from_tuples(&ts, r, 100), Some(r));
+            assert_eq!(ts.query_rank(r), Some(r));
         }
     }
 
     #[test]
     fn query_clamps_out_of_range_targets() {
         let ts = exact_tuples(10);
-        assert_eq!(query_rank_from_tuples(&ts, 0, 10), Some(1));
-        assert_eq!(query_rank_from_tuples(&ts, 999, 10), Some(10));
+        assert_eq!(ts.query_rank(0), Some(1));
+        assert_eq!(ts.query_rank(999), Some(10));
     }
 
     #[test]
     fn estimate_rank_on_exact_tuples() {
         let ts = exact_tuples(100);
-        assert_eq!(estimate_rank_from_tuples(&ts, &0, 100), 0);
-        assert_eq!(estimate_rank_from_tuples(&ts, &100, 100), 100);
-        assert_eq!(estimate_rank_from_tuples(&ts, &1000, 100), 100);
+        assert_eq!(ts.estimate_rank(&0), 0);
+        assert_eq!(ts.estimate_rank(&100), 100);
+        assert_eq!(ts.estimate_rank(&1000), 100);
         // q = 42: 42 items ≤ 42; estimator midpoint is (42 + 43−1)/2 = 42.
-        assert_eq!(estimate_rank_from_tuples(&ts, &42, 100), 42);
+        assert_eq!(ts.estimate_rank(&42), 42);
     }
 
     #[test]
     fn empty_tuple_list() {
-        let ts: Vec<GkTuple<u64>> = Vec::new();
-        assert_eq!(query_rank_from_tuples(&ts, 1, 0), None);
-        assert_eq!(estimate_rank_from_tuples(&ts, &5, 0), 0);
+        let ts = TupleList::<u64>::new(0.1, 5);
+        assert_eq!(ts.query_rank(1), None);
+        assert_eq!(ts.estimate_rank(&5), 0);
+    }
+
+    #[test]
+    fn gallop_counts_the_tuples_below() {
+        let ts = exact_tuples(40);
+        for x in 0..=42u64 {
+            let want = ts.tuples.partition_point(|t| t.v < x);
+            assert_eq!(gallop(&ts.tuples, &x), want, "x = {x}");
+        }
+        assert_eq!(gallop::<u64>(&[], &7), 0);
     }
 }

@@ -69,7 +69,7 @@ impl<T: SnapshotItem + Ord + Clone> SnapshotWrite for GkSummary<T> {
             e.put_u64(n);
             e.put_u64(period);
         });
-        write_gk_tuples(w, tuples);
+        write_gk_tuples(w, &tuples);
     }
 }
 
@@ -97,7 +97,7 @@ impl<T: SnapshotItem + Ord + Clone> SnapshotWrite for GreedyGk<T> {
             e.put_u64(n);
             e.put_u64(period);
         });
-        write_gk_tuples(w, tuples);
+        write_gk_tuples(w, &tuples);
     }
 }
 
@@ -351,7 +351,7 @@ mod tests {
             e.put_u64(999); // n != Σg
             e.put_u64(period);
         });
-        write_gk_tuples(&mut w, tuples);
+        write_gk_tuples(&mut w, &tuples);
         let err = GkSummary::<u64>::from_snapshot_bytes(&w.into_bytes()).unwrap_err();
         assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
     }

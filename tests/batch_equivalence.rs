@@ -3,13 +3,16 @@
 //! the adversary's batched leaves in `Adversary::run`) must be
 //! *observationally identical* to the per-item paths they replace —
 //! same order-statistic answers, same tuples, same audit trail, byte for
-//! byte.
+//! byte. GK's per-item path holds a pending fresh run between splices
+//! and its sorted-run path never does, so comparing the two also pins
+//! every reader over a pending run to the spliced list.
 
 use cqs::prelude::*;
 use cqs_core::adversary::Adversary;
 use cqs_core::reference::ExactSummary;
 use cqs_gk::{GkSummary, GreedyGk};
 use cqs_ostree::OsTree;
+use cqs_snapshot::SnapshotWrite;
 use cqs_streams::{workload, Workload};
 
 const SEED: u64 = 0xC0FFEE;
@@ -73,10 +76,11 @@ fn ostree_extend_sorted_equivalent_to_per_item_insert() {
 
 /// Drives one summary pair through the same stream, one via
 /// `insert_sorted_run` over sorted chunks and one per item, asserting
-/// tuple-for-tuple identical state and identical space peaks.
+/// identical space peaks, and after every run byte-identical snapshots
+/// (tuples, n, ε, period) and identical readers, clones included.
 fn assert_gk_batch_equivalent<S, F>(label: &str, make: F)
 where
-    S: ComparisonSummary<u64>,
+    S: ComparisonSummary<u64> + RankEstimator<u64> + SnapshotWrite + Clone,
     F: Fn() -> S,
 {
     for which in [
@@ -89,10 +93,10 @@ where
         for chunk in [3usize, 50, 512] {
             let mut batched = make();
             let mut sequential = make();
-            for run in chunks_of(&values, chunk) {
-                let peak_batched = batched.insert_sorted_run(&run);
+            for (i, run) in chunks_of(&values, chunk).iter().enumerate() {
+                let peak_batched = batched.insert_sorted_run(run);
                 let mut peak_seq = 0usize;
-                for &x in &run {
+                for &x in run {
                     sequential.insert(x);
                     peak_seq = peak_seq.max(sequential.stored_count());
                 }
@@ -100,6 +104,11 @@ where
                     peak_batched, peak_seq,
                     "{label}/{which:?}/{chunk}: intra-run |I| peak diverged"
                 );
+                if i % 11 == 0 {
+                    assert_readers_agree(&batched, &sequential, run);
+                    // A clone carries the pending run and encodes the same.
+                    assert_readers_agree(&batched, &sequential.clone(), run);
+                }
             }
             assert_eq!(batched.items_processed(), sequential.items_processed());
             assert_eq!(
@@ -114,6 +123,28 @@ where
             );
         }
     }
+}
+
+/// Snapshot bytes and every reader agree between `a` and `b`.
+fn assert_readers_agree<S>(a: &S, b: &S, probes: &[u64])
+where
+    S: ComparisonSummary<u64> + RankEstimator<u64> + SnapshotWrite,
+{
+    assert_eq!(a.to_snapshot_bytes(), b.to_snapshot_bytes(), "snapshots");
+    assert_eq!(a.stored_count(), b.stored_count());
+    assert_eq!(a.item_array(), b.item_array());
+    let n = a.items_processed();
+    for r in (0..=n + 1).step_by(n as usize / 9 + 1) {
+        assert_eq!(a.query_rank(r), b.query_rank(r), "rank {r}");
+    }
+    for q in probes.iter().chain(&[0, u64::MAX]) {
+        assert_eq!(a.estimate_rank(q), b.estimate_rank(q), "estimate {q}");
+    }
+    let (lo, hi) = (probes.first(), probes.last());
+    let (mut va, mut vb) = (Vec::new(), Vec::new());
+    a.for_each_item_between(lo, hi, &mut |&x| va.push(x));
+    b.for_each_item_between(lo, hi, &mut |&x| vb.push(x));
+    assert_eq!(va, vb, "between {lo:?}..{hi:?}");
 }
 
 #[test]
