@@ -5,7 +5,8 @@
 #
 #   ./ci.sh            # full gate
 #   ./ci.sh --fast     # skip the release build (lint + tests only)
-#   ./ci.sh --lint     # only fmt + the static-analysis lint gate
+#   ./ci.sh --lint     # only fmt, the static-analysis lint gate and
+#                      # clippy
 #   ./ci.sh --faults   # only the fault-matrix smoke (debug build)
 #   ./ci.sh --recovery # only the crash/resume smoke (release build)
 #   ./ci.sh --service  # only the sharded-service smoke (release build)
@@ -14,6 +15,17 @@
 #                      # ~2 cell runs of wall-clock — minutes)
 set -euo pipefail
 cd "$(dirname "$0")"
+
+clippy_step() {
+    # Clippy with -D warnings is what turns the workspace's
+    # `missing_docs = "warn"` (and every other warning) into a failure.
+    if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then
+        echo "==> cargo clippy -D warnings"
+        cargo clippy --workspace --all-targets -q -- -D warnings
+    else
+        echo "==> clippy not installed; skipping (install with: rustup component add clippy)"
+    fi
+}
 
 faults_smoke() {
     # Fault-injection smoke: the 8-cell matrix on GK at eps = 1/16,
@@ -120,6 +132,7 @@ if [[ "${1:-}" == "--lint" ]]; then
     cargo fmt --all -- --check
     echo "==> static-analysis lint (cargo run -p cqs-xtask -- lint)"
     cargo run -p cqs-xtask -q -- lint
+    clippy_step
     echo "ci: lint green"
     exit 0
 fi
@@ -154,12 +167,7 @@ cargo fmt --all -- --check
 echo "==> model-conformance lint (cargo run -p cqs-xtask -- lint)"
 cargo run -p cqs-xtask -q -- lint
 
-if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy -D warnings"
-    cargo clippy --workspace --all-targets -q -- -D warnings
-else
-    echo "==> clippy not installed; skipping (install with: rustup component add clippy)"
-fi
+clippy_step
 
 if [[ $fast -eq 0 ]]; then
     echo "==> cargo build --release (tier-1)"

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-bench — experiment harness
 //!
 //! Shared plumbing for the experiment binaries (`src/bin/*.rs`), one per

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-ckms — biased (relative-error) quantiles
 //!
 //! The CKMS summary of Cormode, Korn, Muthukrishnan & Srivastava

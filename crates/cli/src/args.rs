@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing for the `cqs` binary.
 
-use crate::commands::CliError;
+use crate::commands::{adversary_stream, CliError};
 
 /// The parsed command line.
 #[derive(Clone, Debug)]
@@ -300,18 +300,14 @@ fn parse_adversary(words: &[String]) -> Result<AdversaryArgs, CliError> {
     let mut f = Flags::new(words);
     while let Some(flag) = f.next_flag() {
         match flag {
-            "--inv-eps" => {
-                out.inv_eps = parse_u64(flag, f.value(flag)?)?;
-                if out.inv_eps == 0 {
-                    return Err(CliError::new("--inv-eps must be positive"));
-                }
-            }
+            "--inv-eps" => out.inv_eps = parse_u64(flag, f.value(flag)?)?,
             "--k" => out.k = parse_u64(flag, f.value(flag)?)?.clamp(1, 24) as u32,
             "--target" => out.target = SummaryKind::parse(f.value(flag)?)?,
             "--budget" => out.budget = parse_u64(flag, f.value(flag)?)? as usize,
             other => return Err(CliError::new(format!("unknown flag: {other}"))),
         }
     }
+    adversary_stream(out.inv_eps, out.k)?;
     Ok(out)
 }
 
@@ -326,12 +322,7 @@ fn parse_faults(words: &[String]) -> Result<FaultsArgs, CliError> {
     let mut f = Flags::new(words);
     while let Some(flag) = f.next_flag() {
         match flag {
-            "--inv-eps" => {
-                out.inv_eps = parse_u64(flag, f.value(flag)?)?;
-                if out.inv_eps == 0 {
-                    return Err(CliError::new("--inv-eps must be positive"));
-                }
-            }
+            "--inv-eps" => out.inv_eps = parse_u64(flag, f.value(flag)?)?,
             "--k" => out.k = parse_u64(flag, f.value(flag)?)?.clamp(3, 24) as u32,
             "--target" => out.target = SummaryKind::parse(f.value(flag)?)?,
             "--seed" => out.seed = parse_u64(flag, f.value(flag)?)?,
@@ -339,6 +330,7 @@ fn parse_faults(words: &[String]) -> Result<FaultsArgs, CliError> {
             other => return Err(CliError::new(format!("unknown flag: {other}"))),
         }
     }
+    adversary_stream(out.inv_eps, out.k)?;
     Ok(out)
 }
 
@@ -373,17 +365,13 @@ fn parse_service(words: &[String]) -> Result<ServiceArgs, CliError> {
             "--shards" => out.shards = parse_u64(flag, f.value(flag)?)?.clamp(1, 64) as usize,
             "--threads" => out.threads = parse_u64(flag, f.value(flag)?)?.clamp(1, 64) as usize,
             "--eps" => out.eps = check_eps(parse_f64(flag, f.value(flag)?)?)?,
-            "--inv-eps" => {
-                out.inv_eps = parse_u64(flag, f.value(flag)?)?;
-                if out.inv_eps == 0 {
-                    return Err(CliError::new("--inv-eps must be positive"));
-                }
-            }
+            "--inv-eps" => out.inv_eps = parse_u64(flag, f.value(flag)?)?,
             "--k" => out.k = parse_u64(flag, f.value(flag)?)?.clamp(1, 12) as u32,
             "--export" => out.export = Some(f.value(flag)?.to_string()),
             other => return Err(CliError::new(format!("unknown flag: {other}"))),
         }
     }
+    adversary_stream(out.inv_eps, out.k)?;
     Ok(out)
 }
 

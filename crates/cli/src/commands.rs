@@ -114,15 +114,34 @@ pub fn run_quantiles(args: &QuantilesArgs, input: impl BufRead) -> Result<String
     Ok(out)
 }
 
-/// `cqs adversary`: run the lower-bound construction and report.
-pub fn run_adversary_cmd(args: &AdversaryArgs) -> Result<String, CliError> {
-    let eps = Eps::from_inverse(args.inv_eps);
-    let n = eps.stream_len(args.k);
-    if n > 4_000_000 {
+/// The most items an adversary stream of the CLI may have.
+const MAX_ADVERSARY_N: u64 = 4_000_000;
+
+/// ε = 1/`inv_eps` and the stream length N_k = (1/ε)·2^k of the
+/// adversary run that `--inv-eps` and `--k` ask for, or a usage error:
+/// ε must lie in (0, ½) like `--eps`, and N_k must fit in `u64` and stay
+/// within [`MAX_ADVERSARY_N`].
+pub(crate) fn adversary_stream(inv_eps: u64, k: u32) -> Result<(Eps, u64), CliError> {
+    if inv_eps < 3 {
         return Err(CliError::new(format!(
-            "stream length {n} too large; lower --k or --inv-eps"
+            "--inv-eps must be at least 3 (eps must be in (0, 0.5)), got {inv_eps}"
         )));
     }
+    let eps = Eps::from_inverse(inv_eps);
+    match eps.try_stream_len(k) {
+        Some(n) if n <= MAX_ADVERSARY_N => Ok((eps, n)),
+        Some(n) => Err(CliError::new(format!(
+            "stream length {n} too large; lower --k or --inv-eps"
+        ))),
+        None => Err(CliError::new(
+            "stream length overflows u64; lower --k or --inv-eps",
+        )),
+    }
+}
+
+/// `cqs adversary`: run the lower-bound construction and report.
+pub fn run_adversary_cmd(args: &AdversaryArgs) -> Result<String, CliError> {
+    let (eps, n) = adversary_stream(args.inv_eps, args.k)?;
     let budget = if args.budget == 0 {
         (args.inv_eps / 2).max(4) as usize
     } else {
@@ -407,13 +426,7 @@ where
 /// `cqs faults`: sweep the fault matrix and report per-cell verdicts.
 /// Returns the rendered table plus the process exit code.
 pub fn run_faults_cmd(args: &FaultsArgs) -> Result<(String, u8), CliError> {
-    let eps = Eps::from_inverse(args.inv_eps);
-    let n = eps.stream_len(args.k);
-    if n > 4_000_000 {
-        return Err(CliError::new(format!(
-            "stream length {n} too large; lower --k or --inv-eps"
-        )));
-    }
+    let (eps, n) = adversary_stream(args.inv_eps, args.k)?;
     let jobs = if args.jobs == 0 {
         default_jobs()
     } else {
@@ -642,13 +655,7 @@ pub fn run_service_cmd(args: &ServiceArgs) -> Result<(String, u8, Vec<u8>), CliE
     // The hardest comparison-based input we can construct (the Theorem
     // 2.2 adversary's π), sharded through the registry itself and
     // probed at *every* rank against the stream's ground truth.
-    let aeps = Eps::from_inverse(args.inv_eps);
-    let n = aeps.stream_len(args.k);
-    if n > 4_000_000 {
-        return Err(CliError::new(format!(
-            "differential stream length {n} too large; lower --k or --inv-eps"
-        )));
-    }
+    let (aeps, n) = adversary_stream(args.inv_eps, args.k)?;
     let out = run_adversary(aeps, args.k, move || GkSummary::<Item>::new(aeps.value()));
     let mut arrivals: Vec<(u64, Item)> = Vec::new();
     out.pi

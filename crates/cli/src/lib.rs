@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-cli — command-line quantile summarisation
 //!
 //! The `cqs` binary wraps the workspace in four subcommands:

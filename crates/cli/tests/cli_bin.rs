@@ -81,3 +81,31 @@ fn bad_input_data_fails_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("not a number"), "{stderr}");
 }
+
+#[test]
+fn out_of_range_inv_eps_is_a_usage_error_not_a_panic() {
+    // 1/ε of 1 or 2 puts ε outside (0, ½); u64::MAX at k = 24 overflows
+    // N_k = (1/ε)·2^k.
+    let max = u64::MAX.to_string();
+    let bad: [&[&str]; 3] = [
+        &["--inv-eps", "1"],
+        &["--inv-eps", "2"],
+        &["--inv-eps", &max, "--k", "24"],
+    ];
+    for cmd in ["adversary", "faults", "service"] {
+        for args in bad {
+            let out = Command::new(env!("CARGO_BIN_EXE_cqs-tool"))
+                .arg(cmd)
+                .args(args)
+                .output()
+                .expect("run cqs-tool");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {args:?}: {stderr}");
+            assert!(stderr.contains("error: "), "{cmd} {args:?}: {stderr}");
+            assert!(stderr.contains("USAGE"), "{cmd} {args:?}: {stderr}");
+            // The usage text names the `summary-panicked` exit code, so
+            // look for the panic message itself.
+            assert!(!stderr.contains("panicked at"), "{cmd} {args:?}: {stderr}");
+        }
+    }
+}

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-core — the PODS'20 tight lower bound, executable
 //!
 //! This crate implements the primary contribution of Cormode & Veselý,

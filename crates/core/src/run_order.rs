@@ -446,10 +446,82 @@ impl RunOrder {
     }
 }
 
+/// The test oracle of the stream's order index: every item with its
+/// arrival tag in one sorted `Vec`, each query one `partition_point`.
+/// The run index and `StreamState` are checked against it query by
+/// query; a sorted vector is correct by inspection.
+#[cfg(test)]
+pub(crate) mod model {
+    use cqs_universe::Item;
+
+    /// Distinct items with their arrival tags, in label order.
+    #[derive(Default)]
+    pub(crate) struct SortedModel {
+        items: Vec<(Item, u64)>,
+    }
+
+    impl SortedModel {
+        pub(crate) fn new() -> Self {
+            Self::default()
+        }
+
+        /// Inserts `item` with arrival tag `tag`; `false` (and no
+        /// change) when the item is already present.
+        pub(crate) fn insert_tagged(&mut self, item: Item, tag: u64) -> bool {
+            let i = self.count_less(&item);
+            if self.items.get(i).is_some_and(|(x, _)| *x == item) {
+                return false;
+            }
+            self.items.insert(i, (item, tag));
+            true
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.items.len()
+        }
+
+        pub(crate) fn count_less(&self, q: &Item) -> usize {
+            self.items.partition_point(|(x, _)| x < q)
+        }
+
+        pub(crate) fn count_le(&self, q: &Item) -> usize {
+            self.items.partition_point(|(x, _)| x <= q)
+        }
+
+        pub(crate) fn tag_of(&self, q: &Item) -> Option<u64> {
+            let (x, tag) = self.items.get(self.count_less(q))?;
+            (x == q).then_some(*tag)
+        }
+
+        pub(crate) fn successor(&self, q: &Item) -> Option<&Item> {
+            self.items.get(self.count_le(q)).map(|(x, _)| x)
+        }
+
+        pub(crate) fn predecessor(&self, q: &Item) -> Option<&Item> {
+            let i = self.count_less(q).checked_sub(1)?;
+            self.items.get(i).map(|(x, _)| x)
+        }
+
+        pub(crate) fn min(&self) -> Option<&Item> {
+            self.items.first().map(|(x, _)| x)
+        }
+
+        pub(crate) fn max(&self) -> Option<&Item> {
+            self.items.last().map(|(x, _)| x)
+        }
+
+        /// Every `(item, tag)` pair, in label order.
+        pub(crate) fn tagged(&self) -> &[(Item, u64)] {
+            &self.items
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::model::SortedModel;
     use super::*;
-    use cqs_ostree::OsTree;
+    use crate::rng::SplitMix64;
     use cqs_universe::generate_increasing;
 
     /// The run source a test index stores: the run's items, or its
@@ -463,9 +535,9 @@ mod tests {
     const KINDS: [Kind; 2] = [Kind::Stored, Kind::Generated];
 
     /// Appends a fresh run of `n` items minted inside `iv` to both the
-    /// reference treap (tags continuing from its length) and `imp`.
+    /// reference model (tags continuing from its length) and `imp`.
     fn feed(
-        mat: &mut OsTree<Item>,
+        mat: &mut SortedModel,
         imp: &mut RunOrder,
         kind: Kind,
         iv: &Interval,
@@ -474,7 +546,7 @@ mod tests {
         let items = generate_increasing(iv, n);
         for it in &items {
             let tag = mat.len() as u64;
-            mat.insert_unique_tagged(it.clone(), tag);
+            mat.insert_tagged(it.clone(), tag);
         }
         let source = match kind {
             Kind::Stored => RunSource::Stored(items.clone().into()),
@@ -484,10 +556,10 @@ mod tests {
         items
     }
 
-    /// Builds the same stream both ways: the reference treap and a
+    /// Builds the same stream both ways: the reference model and a
     /// run-fragment index of `kind` runs, from a root run refined in the
     /// adversary's pattern (mint between order-adjacent items).
-    fn build_both(kind: Kind, root_n: usize, leaf_n: usize) -> (OsTree<Item>, RunOrder) {
+    fn build_both(kind: Kind, root_n: usize, leaf_n: usize) -> (SortedModel, RunOrder) {
         build_both_with(RunOrder::new(), kind, root_n, leaf_n)
     }
 
@@ -497,8 +569,8 @@ mod tests {
         kind: Kind,
         root_n: usize,
         leaf_n: usize,
-    ) -> (OsTree<Item>, RunOrder) {
-        let mut mat = OsTree::new();
+    ) -> (SortedModel, RunOrder) {
+        let mut mat = SortedModel::new();
         let root = feed(&mut mat, &mut imp, kind, &Interval::whole(), root_n);
         // Refine between two order-adjacent items in the middle.
         let m = root_n / 2;
@@ -522,12 +594,11 @@ mod tests {
     }
 
     /// Every point query of `imp` — on each stream item and on a probe
-    /// between each adjacent pair — answers as the treap `mat` does.
-    fn assert_matches_materialized(mat: &OsTree<Item>, imp: &RunOrder) {
+    /// between each adjacent pair — answers as the model `mat` does.
+    fn assert_matches_materialized(mat: &SortedModel, imp: &RunOrder) {
         assert_eq!(imp.len(), mat.len() as u64);
-        let mut all: Vec<(Item, u64)> = Vec::new();
-        mat.for_each_tagged(&mut |it, t| all.push((it.clone(), t)));
-        for (it, t) in &all {
+        let all = mat.tagged();
+        for (it, t) in all {
             assert_eq!(imp.count_less(it), mat.count_less(it) as u64);
             assert_eq!(imp.count_le(it), mat.count_le(it) as u64);
             assert_eq!(imp.tag_of(it), Some(*t));
@@ -553,8 +624,11 @@ mod tests {
     fn replay_visits_identical_items_and_tags() {
         for kind in KINDS {
             let (mat, imp) = build_both(kind, 16, 4);
-            let mut a: Vec<(Vec<u8>, u64)> = Vec::new();
-            mat.for_each_tagged(&mut |it, t| a.push((it.label().to_vec(), t)));
+            let a: Vec<(Vec<u8>, u64)> = mat
+                .tagged()
+                .iter()
+                .map(|(it, t)| (it.label().to_vec(), *t))
+                .collect();
             let mut b: Vec<(Vec<u8>, u64)> = Vec::new();
             imp.for_each_tagged(&mut |it, t| b.push((it.label().to_vec(), t)));
             assert_eq!(a, b, "{kind:?}");
@@ -565,9 +639,7 @@ mod tests {
     fn fresh_remints_resolve_without_memo() {
         for kind in KINDS {
             let (mat, imp) = build_both(kind, 16, 4);
-            let mut items: Vec<(Item, u64)> = Vec::new();
-            mat.for_each_tagged(&mut |it, t| items.push((it.clone(), t)));
-            for (it, t) in &items {
+            for (it, t) in mat.tagged() {
                 // A brand-new mint of the same label: different arena id,
                 // so every cache lookup misses and the run source must
                 // produce the same answers.
@@ -582,8 +654,7 @@ mod tests {
     fn multi_queries_match_scalar_queries() {
         for kind in KINDS {
             let (mat, imp) = build_both(kind, 16, 4);
-            let mut qs: Vec<Item> = Vec::new();
-            mat.for_each_tagged(&mut |it, _| qs.push(it.clone()));
+            let qs: Vec<Item> = mat.tagged().iter().map(|(it, _)| it.clone()).collect();
             // Probes between adjacent items, and fresh re-mints that miss
             // the cache, ride in the same sorted batch.
             let mut batch: Vec<Item> = Vec::new();
@@ -630,11 +701,12 @@ mod tests {
     fn restore_from_sorted_pairs_matches_reference() {
         for cap in [None, Some(1), Some(4)] {
             let (mat, _) = build_both(Kind::Stored, 32, 8);
-            let mut pairs = Vec::new();
             // Fresh mints, as a snapshot decode produces them.
-            mat.for_each_tagged(&mut |it, t| {
-                pairs.push((Item::from_label(it.label().to_vec()), t))
-            });
+            let pairs = mat
+                .tagged()
+                .iter()
+                .map(|(it, t)| (Item::from_label(it.label().to_vec()), *t))
+                .collect();
             let mut imp = RunOrder::from_sorted_tagged(pairs).unwrap();
             if let Some(cap) = cap {
                 imp.cache = TagCache::with_capacity(cap);
@@ -657,6 +729,143 @@ mod tests {
             assert_eq!(imp.len(), 0);
             assert_eq!(imp.fragment_count(), 0);
             assert!(imp.min().is_none() && imp.max().is_none());
+        }
+    }
+
+    /// Random labels with lengths straddling the 8-byte prefix key.
+    fn random_labels(rng: &mut SplitMix64, n: usize) -> Vec<Item> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let len = 1 + rng.index(20);
+            let label: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            out.push(Item::from_label(label));
+        }
+        out
+    }
+
+    /// Labels sharing a 16-byte prefix, so every comparison falls through
+    /// the equal-key path into the tail tiebreak.
+    fn prefix_heavy_labels(rng: &mut SplitMix64, n: usize) -> Vec<Item> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut label = vec![7u8; 16];
+            let tail = rng.index(6);
+            for _ in 0..tail {
+                label.push(rng.next_u64() as u8);
+            }
+            out.push(Item::from_label(label));
+        }
+        out
+    }
+
+    /// Indexes the distinct `labels` in arrival order as one-item stored
+    /// runs, as per-item pushes do, then mints a four-item run of `kind`
+    /// inside every third gap between label-adjacent items. Runs minted
+    /// between prefix-heavy labels share their prefix.
+    fn index_labels(kind: Kind, labels: &[Item]) -> (SortedModel, RunOrder) {
+        let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
+        for it in labels {
+            if mat.insert_tagged(it.clone(), mat.len() as u64) {
+                let source = RunSource::Stored(Box::new([it.clone()]));
+                imp.insert_run(&Interval::whole(), std::slice::from_ref(it), source);
+            }
+        }
+        let sorted: Vec<Item> = mat.tagged().iter().map(|(it, _)| it.clone()).collect();
+        // Minting between two labels needs both free of a trailing zero.
+        let mintable = |it: &Item| it.label().last() != Some(&0);
+        for w in sorted.windows(2).step_by(3) {
+            if mintable(&w[0]) && mintable(&w[1]) {
+                let iv = Interval::open(w[0].clone(), w[1].clone());
+                feed(&mut mat, &mut imp, kind, &iv, 4);
+            }
+        }
+        (mat, imp)
+    }
+
+    /// Asserts both batched walks of `imp` against its scalar queries and
+    /// against the model, on `queries` plus a fresh re-mint of every
+    /// indexed item (a cache miss, answered by the run source), sorted.
+    fn assert_batches_match(mat: &SortedModel, imp: &RunOrder, queries: &[Item]) {
+        let mut qs: Vec<Item> = queries.to_vec();
+        qs.extend(
+            mat.tagged()
+                .iter()
+                .map(|(it, _)| Item::from_label(it.label().to_vec())),
+        );
+        qs.sort();
+        // Tags first: the count walk's in-run lookups would warm the
+        // cache for the re-mints.
+        let (mut le, mut tags) = (Vec::new(), Vec::new());
+        imp.multi_tag_of(&qs, &mut tags);
+        imp.multi_count_le(&qs, &mut le);
+        assert_eq!((le.len(), tags.len()), (qs.len(), qs.len()));
+        for ((q, &l), &tag) in qs.iter().zip(&le).zip(&tags) {
+            assert_eq!(l as u64, imp.count_le(q), "count_le diverged on {q:?}");
+            assert_eq!(l, mat.count_le(q), "model count_le diverged on {q:?}");
+            assert_eq!(tag, imp.tag_of(q), "tag_of diverged on {q:?}");
+            assert_eq!(tag, mat.tag_of(q), "model tag_of diverged on {q:?}");
+        }
+    }
+
+    #[test]
+    fn batched_walks_match_singles_on_adversary_labels() {
+        for kind in KINDS {
+            let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
+            let items = feed(&mut mat, &mut imp, kind, &Interval::whole(), 300);
+            // Queries: stored items, plus fresh in-between mints (absent
+            // keys).
+            let mut queries = items.clone();
+            queries.extend(generate_increasing(&Interval::whole(), 97));
+            assert_batches_match(&mat, &imp, &queries);
+        }
+    }
+
+    #[test]
+    fn batched_walks_match_singles_on_random_labels() {
+        let mut rng = SplitMix64::new(0x5eed);
+        for round in 0..8 {
+            let stored = random_labels(&mut rng, 60 + round * 40);
+            let queries = random_labels(&mut rng, 80);
+            for kind in KINDS {
+                let (mat, imp) = index_labels(kind, &stored);
+                assert_batches_match(&mat, &imp, &queries);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_walks_match_singles_on_prefix_heavy_labels() {
+        let mut rng = SplitMix64::new(0x9e37);
+        for _ in 0..8 {
+            let stored = prefix_heavy_labels(&mut rng, 120);
+            // Query with a mix of stored and fresh prefix-heavy labels so
+            // both the equal and absent key-collision paths are exercised.
+            let mut queries = prefix_heavy_labels(&mut rng, 60);
+            queries.extend(stored.iter().take(30).cloned());
+            for kind in KINDS {
+                let (mat, imp) = index_labels(kind, &stored);
+                assert_batches_match(&mat, &imp, &queries);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_walks_handle_empty_tree_and_empty_queries() {
+        let qs = generate_increasing(&Interval::whole(), 5);
+        let (mut le, mut tags) = (Vec::new(), Vec::new());
+        let empty_index = RunOrder::new();
+        empty_index.multi_count_le(&qs, &mut le);
+        assert_eq!(le, vec![0; 5]);
+        empty_index.multi_tag_of(&qs, &mut tags);
+        assert_eq!(tags, vec![None; 5]);
+
+        for kind in KINDS {
+            let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
+            feed(&mut mat, &mut imp, kind, &Interval::whole(), 5);
+            imp.multi_count_le(&[], &mut le);
+            assert!(le.is_empty());
+            imp.multi_tag_of(&[], &mut tags);
+            assert!(tags.is_empty());
         }
     }
 }

@@ -624,7 +624,7 @@ mod tests {
     use super::*;
     use crate::reference::ExactSummary;
     use crate::rng::SplitMix64;
-    use cqs_ostree::OsTree;
+    use crate::run_order::model::SortedModel;
     use cqs_universe::{between_items, generate_increasing};
 
     fn state_with(n: usize) -> StreamState<ExactSummary<Item>> {
@@ -825,13 +825,16 @@ mod tests {
     }
 
     /// Every order query of `st` — on each stream item and on a probe
-    /// between each adjacent pair — answers as the reference treap does.
-    fn assert_matches_reference(st: &StreamState<ExactSummary<Item>>, reference: &OsTree<Item>) {
+    /// between each adjacent pair — answers as the reference model does.
+    fn assert_matches_reference(st: &StreamState<ExactSummary<Item>>, reference: &SortedModel) {
         assert_eq!(st.len(), reference.len() as u64);
         assert_eq!(st.min(), reference.min().cloned());
         assert_eq!(st.max(), reference.max().cloned());
-        let mut all: Vec<Item> = Vec::new();
-        reference.for_each_tagged(&mut |it, _| all.push(it.clone()));
+        let all: Vec<Item> = reference
+            .tagged()
+            .iter()
+            .map(|(it, _)| it.clone())
+            .collect();
         let probes = all.windows(2).map(|w| between_items(&w[0], &w[1]));
         for q in all.iter().cloned().chain(probes) {
             assert_eq!(st.rank(&q), reference.count_less(&q) as u64 + 1);
@@ -846,16 +849,16 @@ mod tests {
         // Per-item pushes strictly between adjacent items split a
         // fragment mid-span (stored or generated); the odd push below the
         // minimum or above the maximum lands beside every fragment. Each
-        // push is checked against the treap query by query.
+        // push is checked against the sorted model query by query.
         for repr in [StreamRepr::Materialized, StreamRepr::Implicit] {
             let mut rng = SplitMix64::new(0x5e1);
             let mut st = StreamState::with_repr(ExactSummary::new(), repr);
-            let mut reference = OsTree::new();
+            let mut reference = SortedModel::new();
             let whole = Interval::whole();
             let mut sorted = generate_increasing(&whole, 32);
             st.push_run_in(&whole, &sorted);
             for (tag, it) in (0..).zip(&sorted) {
-                reference.insert_unique_tagged(it.clone(), tag);
+                reference.insert_tagged(it.clone(), tag);
             }
             for _ in 0..64 {
                 let i = rng.below(sorted.len() as u64 + 1) as usize;
@@ -867,7 +870,7 @@ mod tests {
                         generate_increasing(&Interval::new(lo, hi), 1).remove(0)
                     }
                 };
-                reference.insert_unique_tagged(item.clone(), st.len());
+                reference.insert_tagged(item.clone(), st.len());
                 st.push(item.clone());
                 sorted.insert(i, item);
                 assert_matches_reference(&st, &reference);

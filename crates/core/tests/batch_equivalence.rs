@@ -1,114 +1,12 @@
-//! Differential suite for the batched tree walks: one
-//! `multi_*` walk must agree with repeated single-query walks — on
-//! realistic adversary labels (balanced-subdivision mints), on random
-//! byte labels, and on prefix-heavy label sets whose shared first 8
-//! bytes defeat the `Item` prefix key and force the byte-wise tiebreak.
+//! Differential suite for the stream state's batched queries: one
+//! batched call must agree with repeated single-query calls — restricted
+//! ranks against per-item `rank_in`, and arrival tags against
+//! `arrival_of`. The index's own batched walks are pinned in
+//! `cqs-core`'s `run_order` unit tests.
 
 use cqs_core::reference::ExactSummary;
-use cqs_core::rng::SplitMix64;
 use cqs_core::state::StreamState;
-use cqs_ostree::OsTree;
-use cqs_universe::{generate_increasing, Endpoint, Interval, Item};
-
-/// Random labels with lengths straddling the 8-byte prefix key.
-fn random_labels(rng: &mut SplitMix64, n: usize) -> Vec<Item> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = 1 + rng.index(20);
-        let label: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        out.push(Item::from_label(label));
-    }
-    out
-}
-
-/// Labels sharing a 16-byte prefix, so every comparison falls through
-/// the equal-key path into the tail tiebreak.
-fn prefix_heavy_labels(rng: &mut SplitMix64, n: usize) -> Vec<Item> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut label = vec![7u8; 16];
-        let tail = rng.index(6);
-        for _ in 0..tail {
-            label.push(rng.next_u64() as u8);
-        }
-        out.push(Item::from_label(label));
-    }
-    out
-}
-
-/// Asserts every batched walk against its single-query reference on the
-/// given stored set and query set.
-fn assert_batches_match(stored: &[Item], queries: &[Item]) {
-    let mut tree: OsTree<Item> = OsTree::new();
-    let mut tagged = 0u64;
-    for it in stored {
-        if tree.insert_unique_tagged(it.clone(), tagged) {
-            tagged += 1;
-        }
-    }
-    let mut qs: Vec<Item> = queries.to_vec();
-    qs.sort();
-
-    let (mut le, mut tags) = (Vec::new(), Vec::new());
-    tree.multi_count_le(&qs, &mut le);
-    tree.multi_tag_of(&qs, &mut tags);
-    assert_eq!((le.len(), tags.len()), (qs.len(), qs.len()));
-    for ((q, &l), &tag) in qs.iter().zip(&le).zip(&tags) {
-        assert_eq!(l, tree.count_le(q), "count_le diverged on {q:?}");
-        assert_eq!(tag, tree.tag_of(q), "tag_of diverged on {q:?}");
-    }
-}
-
-#[test]
-fn batched_walks_match_singles_on_adversary_labels() {
-    let items = generate_increasing(&Interval::whole(), 300);
-    // Queries: stored items, plus fresh in-between mints (absent keys).
-    let mut queries = items.clone();
-    queries.extend(generate_increasing(&Interval::whole(), 97));
-    assert_batches_match(&items, &queries);
-}
-
-#[test]
-fn batched_walks_match_singles_on_random_labels() {
-    let mut rng = SplitMix64::new(0x5eed);
-    for round in 0..8 {
-        let stored = random_labels(&mut rng, 60 + round * 40);
-        let queries = random_labels(&mut rng, 80);
-        assert_batches_match(&stored, &queries);
-    }
-}
-
-#[test]
-fn batched_walks_match_singles_on_prefix_heavy_labels() {
-    let mut rng = SplitMix64::new(0x9e37);
-    for _ in 0..8 {
-        let stored = prefix_heavy_labels(&mut rng, 120);
-        // Query with a mix of stored and fresh prefix-heavy labels so
-        // both the equal and absent key-collision paths are exercised.
-        let mut queries = prefix_heavy_labels(&mut rng, 60);
-        queries.extend(stored.iter().take(30).cloned());
-        assert_batches_match(&stored, &queries);
-    }
-}
-
-#[test]
-fn batched_walks_handle_empty_tree_and_empty_queries() {
-    let tree: OsTree<Item> = OsTree::new();
-    let qs = generate_increasing(&Interval::whole(), 5);
-    let (mut le, mut tags) = (Vec::new(), Vec::new());
-    tree.multi_count_le(&qs, &mut le);
-    assert_eq!(le, vec![0; 5]);
-    tree.multi_tag_of(&qs, &mut tags);
-    assert_eq!(tags, vec![None; 5]);
-
-    let mut tree2: OsTree<Item> = OsTree::new();
-    for (i, it) in qs.iter().cloned().enumerate() {
-        assert!(tree2.insert_unique_tagged(it, i as u64));
-    }
-    let empty: Vec<Item> = Vec::new();
-    tree2.multi_count_le(&empty, &mut le);
-    assert!(le.is_empty());
-}
+use cqs_universe::{generate_increasing, Endpoint, Interval};
 
 #[test]
 fn restricted_ranks_match_per_item_scan() {

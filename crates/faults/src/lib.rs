@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-faults — deterministic fault injection for quantile summaries
 //!
 //! Theorem 2.2 quantifies over *every* deterministic comparison-based

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-gk — the Greenwald–Khanna quantile summary
 //!
 //! The deterministic comparison-based ε-approximate quantile summary of

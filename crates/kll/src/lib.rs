@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-kll — the Karnin–Lang–Liberty quantile sketch
 //!
 //! The randomized comparison-based quantile sketch of Karnin, Lang &

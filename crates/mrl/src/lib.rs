@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-mrl — the Manku–Rajagopalan–Lindsay quantile summary
 //!
 //! The deterministic multi-level buffer-collapse summary of Manku,

@@ -14,9 +14,9 @@
 //! stream index keeps each run's items, or a run-label generator); the
 //! tree's job is to find the fragment and the virtual count to its left.
 //!
-//! Arena discipline, deterministic SplitMix64 priorities, and the
-//! split/merge machinery mirror [`crate::OsTree`] — a tree built by the
-//! same operation sequence always has the same shape.
+//! Nodes live in one arena linked by `u32` index, and priorities come
+//! from a deterministic SplitMix64 sequence — a tree built by the same
+//! operation sequence always has the same shape.
 
 /// Sentinel link: no child / empty tree.
 const NIL: u32 = u32::MAX;
@@ -118,8 +118,8 @@ impl<T: Ord + Clone> RunTree<T> {
         self.node(link).map(|n| &n.frag)
     }
 
-    /// SplitMix64 step — same deterministic sequence discipline as
-    /// [`crate::OsTree`].
+    /// SplitMix64 step: deterministic priorities, so the same operation
+    /// sequence always builds the same shape.
     fn next_pri(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -199,8 +199,7 @@ impl<T: Ord + Clone> RunTree<T> {
     /// The queries partition at each node into those below the
     /// fragment (descend left), those inside it (answered here), and
     /// those above it (descend right with the count advanced), so
-    /// queries sharing a descent path share its comparisons — the
-    /// fragment-tree twin of `OsTree::multi_count_le`.
+    /// queries sharing a descent path share its comparisons.
     ///
     /// # Panics
     ///
@@ -330,8 +329,7 @@ fn multi_locate_walk<'a, T: Ord>(
             // Clustered batches fall entirely on one side at most nodes
             // of the shared descent path; probing the sorted slice's
             // endpoints first answers those nodes with one comparison
-            // instead of two partition scans (mirrors `OsTree`'s
-            // `multi_count`).
+            // instead of two partition scans.
             let below = if qs.last().is_some_and(|q| *q < node.frag.lo) {
                 qs.len()
             } else if qs.first().is_some_and(|q| *q >= node.frag.lo) {
@@ -412,7 +410,7 @@ fn set_right<T>(nodes: &mut [Node<T>], i: u32, child: u32) {
 
 /// Splits into `(fragments below nodes[key], the rest)`, ordering by the
 /// fragments' `lo` endpoints. The pivot lives in the same arena, so it
-/// is addressed by index (mirrors `OsTree`'s `split_idx`).
+/// is addressed by index.
 fn split_idx<T: Ord>(nodes: &mut [Node<T>], link: u32, key: u32) -> (u32, u32) {
     let (less, left, right) = match (nodes.get(link as usize), nodes.get(key as usize)) {
         (Some(n), Some(k)) => (n.frag.lo < k.frag.lo, n.left, n.right),
@@ -431,9 +429,9 @@ fn split_idx<T: Ord>(nodes: &mut [Node<T>], link: u32, key: u32) -> (u32, u32) {
 
 /// Splits into `out = (fragments with hi < q, fragments with hi >= q)`.
 /// The query is external to the arena and lands only in the comparison;
-/// the halves go through an out-parameter so the links stay the plain
-/// indices they are (mirrors `OsTree`'s `split`, including the
-/// comparison spelled with the query on the left).
+/// the halves go through an out-parameter so the purity analysis sees
+/// the links as the plain indices they are and the subtotal bookkeeping
+/// stays certified.
 fn split_hi_lt<T: Ord>(nodes: &mut [Node<T>], link: u32, q: &T, out: &mut (u32, u32)) {
     let (goes_left, left, right) = match nodes.get(link as usize) {
         Some(n) => (*q > n.frag.hi, n.left, n.right),

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-qdigest — the q-digest summary over a bounded integer universe
 //!
 //! The q-digest of Shrivastava, Buragohain, Agrawal & Suri (SenSys 2004)

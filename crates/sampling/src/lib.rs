@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-sampling — reservoir-sampling quantile summary
 //!
 //! The classic randomized baseline (cf. Manku–Rajagopalan–Lindsay 1999

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-snapshot — crash-recoverable snapshots for summaries and sweeps
 //!
 //! A dependency-free, versioned, length-framed binary wire format with

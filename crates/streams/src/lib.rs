@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-streams — deterministic workload generators and report helpers
 //!
 //! Workloads for the benchmark harness (the Luo-et-al.-style comparison

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! A continuous, unbounded, totally ordered universe of opaque items.
 //!
 //! The lower-bound proof of Cormode & Veselý (PODS'20) assumes a universe

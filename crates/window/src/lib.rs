@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-window — sliding-window quantiles over chunked GK summaries
 //!
 //! The lower-bound paper's related work (via the Greenwald–Khanna survey

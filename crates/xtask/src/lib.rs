@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs-xtask — the model-conformance lint engine
 //!
 //! The lower bound of Cormode & Veselý holds only for summaries that are
@@ -19,8 +16,8 @@
 //! check three families — **comparison-model** (summary crates must
 //! treat items opaquely), **determinism** (library behaviour must be a
 //! pure function of comparison outcomes, Lemma 3.4's
-//! indistinguishability argument), and **robustness**
-//! (`#![forbid(unsafe_code)]`, no raw float equality). On top of those,
+//! indistinguishability argument), and **robustness** (no raw float
+//! equality, no per-call allocation on hot paths). On top of those,
 //! a whole-workspace pass (see [`lint::analysis`]) tokenizes every
 //! file, indexes its items, and builds a cross-crate call graph to run:
 //!

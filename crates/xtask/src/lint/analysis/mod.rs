@@ -38,8 +38,6 @@ pub struct SourceFile {
     pub role: Role,
     /// True for files under `tests/`, `benches/`, or `examples/`.
     pub test_file: bool,
-    /// True for the crate's `src/lib.rs`.
-    pub is_lib_root: bool,
     /// Scanner output (cleaned lines, allows, test regions).
     pub scanned: ScannedFile,
     /// Token stream.
@@ -58,8 +56,6 @@ pub struct FileInput {
     pub role: Role,
     /// True for files under `tests/`/`benches/`/`examples/`.
     pub test_file: bool,
-    /// True for the crate's `src/lib.rs`.
-    pub is_lib_root: bool,
     /// Source text.
     pub src: String,
 }
@@ -95,7 +91,6 @@ impl Workspace {
                 crate_name: input.crate_name,
                 role: input.role,
                 test_file: input.test_file,
-                is_lib_root: input.is_lib_root,
                 scanned,
                 tokens: toks,
                 items,

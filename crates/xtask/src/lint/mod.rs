@@ -166,7 +166,6 @@ pub fn lint_source(crate_name: &str, rel_path: &str, src: &str) -> Vec<Diagnosti
         crate_name: crate_name.to_string(),
         role: role_of(crate_name),
         test_file: is_test_path(rel_path),
-        is_lib_root: rel_path.ends_with("src/lib.rs") || rel_path == "lib.rs",
         src: src.to_string(),
     }]);
     report.diagnostics
@@ -192,7 +191,6 @@ pub fn lint_inputs(inputs: Vec<FileInput>) -> LintReport {
             role: f.role,
             file: &f.scanned,
             test_file: f.test_file,
-            is_lib_root: f.is_lib_root,
         };
         check_file(&ctx, &mut raw);
     }
@@ -227,7 +225,6 @@ pub fn run_workspace(root: &Path) -> io::Result<LintReport> {
             crate_name: crate_name.to_string(),
             role: role_of(crate_name),
             test_file: is_test_path(in_crate),
-            is_lib_root: in_crate == "src/lib.rs",
             src,
         });
     }
@@ -429,7 +426,7 @@ mod tests {
         report.diagnostics.push(Diagnostic {
             file: "x.rs".into(),
             line: 1,
-            rule: "missing-docs-attr",
+            rule: "hot-path-alloc",
             severity: Severity::Warning,
             message: "m".into(),
             baselined: false,

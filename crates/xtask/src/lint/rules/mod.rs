@@ -41,8 +41,6 @@ pub struct RuleCtx<'a> {
     /// True for files under `tests/`, `benches/`, or `examples/` of a
     /// crate — test-only code, exempt from library rules.
     pub test_file: bool,
-    /// True for `src/lib.rs` (file-level attribute rules anchor here).
-    pub is_lib_root: bool,
 }
 
 impl RuleCtx<'_> {

@@ -6,14 +6,15 @@
 //! the shared-state audit (`sharding-send-sync`) moved to the
 //! call-graph [`analysis`](super::super::analysis) passes — name lists
 //! could not see helpers, and the hand-maintained type table could not
-//! see new pool call sites. What remains lexical here: the crate root
-//! must declare its docs policy, raw float equality is forbidden
-//! (`OrdF64` in cqs-streams exists precisely so ordering and equality
-//! agree via `total_cmp`), and hot paths should not heap-allocate per
-//! call — the batched insert APIs and reusable scratch buffers exist so
-//! that they never have to. Memory safety needs no rule: the workspace
-//! manifest sets `unsafe_code = "forbid"`, and `tests/conformance.rs`
-//! checks that every member inherits it. `float-eq` stays although
+//! see new pool call sites. What remains lexical here: raw float
+//! equality is forbidden (`OrdF64` in cqs-streams exists precisely so
+//! ordering and equality agree via `total_cmp`), and hot paths should
+//! not heap-allocate per call — the batched insert APIs and reusable
+//! scratch buffers exist so that they never have to. Memory safety and
+//! the docs policy need no rule: the workspace manifest sets
+//! `unsafe_code = "forbid"` and `missing_docs = "warn"`, and
+//! `tests/conformance.rs` checks that every member inherits them.
+//! `float-eq` stays although
 //! clippy has `float_cmp`: clippy exempts comparisons against zero, and
 //! clippy is not part of tier-1.
 
@@ -21,15 +22,6 @@ use super::super::config::{Role, HOT_PATH_FNS};
 use super::super::scanner::contains_word;
 use super::{Rule, RuleCtx};
 use crate::lint::{Diagnostic, Severity};
-
-static MISSING_DOCS_ATTR: Rule = Rule {
-    id: "missing-docs-attr",
-    severity: Severity::Warning,
-    rationale: "library crates should carry #![warn(missing_docs)]; the paper-facing API is \
-                the documentation of record",
-    applies: |_| true,
-    check: check_missing_docs_attr,
-};
 
 static HOT_PATH_ALLOC: Rule = Rule {
     id: "hot-path-alloc",
@@ -61,29 +53,7 @@ static SNAPSHOT_ATOMICITY: Rule = Rule {
 
 /// The robustness rule set.
 pub fn rules() -> Vec<&'static Rule> {
-    vec![
-        &MISSING_DOCS_ATTR,
-        &HOT_PATH_ALLOC,
-        &FLOAT_EQ,
-        &SNAPSHOT_ATOMICITY,
-    ]
-}
-
-fn check_missing_docs_attr(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_lib_root {
-        return;
-    }
-    let found = ctx.file.lines.iter().any(|l| {
-        l.code.contains("#![warn(missing_docs)]") || l.code.contains("#![deny(missing_docs)]")
-    });
-    if !found {
-        ctx.emit(
-            out,
-            &MISSING_DOCS_ATTR,
-            1,
-            "crate root lacks #![warn(missing_docs)]".to_string(),
-        );
-    }
+    vec![&HOT_PATH_ALLOC, &FLOAT_EQ, &SNAPSHOT_ATOMICITY]
 }
 
 fn check_hot_path_alloc(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 //! CLI for the model-conformance lint engine.
 //!
 //! ```text

@@ -11,7 +11,6 @@ fn file(rel: &str, crate_name: &str, src: &str) -> FileInput {
         crate_name: crate_name.to_string(),
         role: cqs_xtask::lint::config::role_of(crate_name),
         test_file: false,
-        is_lib_root: rel.ends_with("lib.rs"),
         src: src.to_string(),
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture: no docs attribute, panicking hot path, raw float equality.
+//! Fixture: panicking hot path, raw float equality.
 //! Never compiled.
 
 pub struct Fragile {

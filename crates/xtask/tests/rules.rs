@@ -63,7 +63,7 @@ fn determinism_fixture_is_fine_as_a_harness() {
 fn robustness_fixture_fires_attr_panic_and_float_rules() {
     let diags = lint_as_summary(BAD_ROBUSTNESS);
     let fired = rules_fired(&diags);
-    for rule in ["missing-docs-attr", "hot-path-panic", "float-eq"] {
+    for rule in ["hot-path-panic", "float-eq"] {
         assert!(fired.contains(&rule), "{rule} did not fire: {fired:?}");
     }
     // unwrap() outside a hot-path fn must not fire.
@@ -247,7 +247,6 @@ fn pool_inputs(with_audit: bool) -> Vec<FileInput> {
         crate_name: "bench".to_string(),
         role: cqs_xtask::lint::config::role_of("bench"),
         test_file: false,
-        is_lib_root: true,
         src,
     }]
 }
@@ -282,17 +281,6 @@ fn sharding_send_sync_is_quiet_without_a_spawn_site() {
     assert!(
         !rules_fired(&lint_source("universe", "src/lib.rs", bare)).contains(&"sharding-send-sync")
     );
-}
-
-#[test]
-fn missing_docs_is_a_warning_not_an_error() {
-    let diags = lint_as_summary(BAD_ROBUSTNESS);
-    let d = diags
-        .iter()
-        .find(|d| d.rule == "missing-docs-attr")
-        .unwrap();
-    assert_eq!(d.severity, Severity::Warning);
-    assert!(diags.iter().any(|d| d.severity == Severity::Error));
 }
 
 #[test]
@@ -334,7 +322,6 @@ fn registry_covers_every_fixture_rule() {
         "hash-default",
         "ambient-rng",
         "wall-clock",
-        "missing-docs-attr",
         "hot-path-panic",
         "driver-no-panic",
         "hot-path-alloc",

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! # cqs — comparison-based quantile summaries, and the proof they can't
 //! be smaller
 //!
@@ -12,7 +9,7 @@
 //! |-------|-------|------------|
 //! | Adversarial construction, space-gap inequality, corollaries | [`core`] | the contribution (Sections 2–6) |
 //! | Continuous ordered universe | [`universe`] | Section 2's model assumption |
-//! | Order-statistic indexing | [`ostree`] | `rank/next/prev` machinery |
+//! | Order-statistic indexing over run fragments | [`ostree`] | `rank/next/prev` machinery |
 //! | Greenwald–Khanna (banded + greedy + capped) | [`gk`] | the matching upper bound \[6\] |
 //! | Manku–Rajagopalan–Lindsay | [`mrl`] | prior deterministic bound \[14\] |
 //! | Karnin–Lang–Liberty | [`kll`] | randomized counterpart \[11\] |

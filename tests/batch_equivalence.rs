@@ -1,8 +1,7 @@
 //! Batched-insert equivalence: the bulk hot paths added for throughput
-//! (`OsTree::extend_sorted_tagged`, the GK one-pass sorted-run merge, and
-//! the adversary's batched leaves in `Adversary::run`) must be
-//! *observationally identical* to the per-item paths they replace —
-//! same order-statistic answers, same tuples, same audit trail, byte for
+//! (the GK one-pass sorted-run merge and the adversary's batched leaves
+//! in `Adversary::run`) must be *observationally identical* to the
+//! per-item paths they replace — same tuples, same audit trail, byte for
 //! byte. GK's per-item path holds a pending fresh run between splices
 //! and its sorted-run path never does, so comparing the two also pins
 //! every reader over a pending run to the spliced list.
@@ -11,7 +10,6 @@ use cqs::prelude::*;
 use cqs_core::adversary::Adversary;
 use cqs_core::reference::ExactSummary;
 use cqs_gk::{GkSummary, GreedyGk};
-use cqs_ostree::OsTree;
 use cqs_snapshot::SnapshotWrite;
 use cqs_streams::{workload, Workload};
 
@@ -26,52 +24,6 @@ fn chunks_of(values: &[u64], chunk: usize) -> Vec<Vec<u64>> {
             run
         })
         .collect()
-}
-
-#[test]
-fn ostree_extend_sorted_equivalent_to_per_item_insert() {
-    for which in [
-        Workload::Sorted,
-        Workload::Shuffled,
-        Workload::Sawtooth,
-        Workload::Zipf,
-    ] {
-        // The adversary feeds distinct items only: keep each value's
-        // first arrival, tagged with its arrival position.
-        let mut seen = std::collections::BTreeSet::new();
-        let values: Vec<u64> = workload(which, 4_000, SEED)
-            .expect("workload")
-            .into_iter()
-            .filter(|&x| seen.insert(x))
-            .collect();
-        for chunk in [1usize, 7, 64, 1000] {
-            let mut bulk = OsTree::with_seed(9);
-            let mut single = OsTree::with_seed(9);
-            for run in chunks_of(&values, chunk) {
-                bulk.extend_sorted_tagged(run.iter().map(|&x| (x, x)));
-                for &x in &run {
-                    assert!(single.insert_unique_tagged(x, x));
-                }
-            }
-            assert_eq!(bulk.len(), single.len(), "{which:?}/{chunk}");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            bulk.for_each_tagged(&mut |&x, tag| a.push((x, tag)));
-            single.for_each_tagged(&mut |&x, tag| b.push((x, tag)));
-            assert_eq!(a, b, "{which:?}/{chunk}: in-order traversal diverged");
-            let probes = [0u64, 1, 5, 100, 2_000, 3_999, 4_000, u64::MAX];
-            for q in probes {
-                assert_eq!(
-                    bulk.count_less(&q),
-                    single.count_less(&q),
-                    "{which:?}/{chunk} rank {q}"
-                );
-                assert_eq!(bulk.count_le(&q), single.count_le(&q));
-                assert_eq!(bulk.successor(&q), single.successor(&q));
-                assert_eq!(bulk.predecessor(&q), single.predecessor(&q));
-                assert_eq!(bulk.tag_of(&q), single.tag_of(&q));
-            }
-        }
-    }
 }
 
 /// Drives one summary pair through the same stream, one via

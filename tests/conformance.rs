@@ -155,9 +155,10 @@ fn every_workspace_member_is_a_default_member() {
 
 #[test]
 fn every_manifest_inherits_the_workspace_lints() {
-    // `[workspace.lints]` forbids unsafe code and sets the clippy floor,
-    // but only for packages that opt in with `[lints] workspace = true`;
-    // a manifest that drops the table silently loses both.
+    // `[workspace.lints]` forbids unsafe code, warns on missing docs and
+    // sets the clippy floor, but only for packages that opt in with
+    // `[lints] workspace = true`; a manifest that drops the table
+    // silently loses all three.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
     let mut packages = expand_members(&root, &workspace_array(&manifest, "members"));
