@@ -73,16 +73,15 @@ pub fn compute_gap<S: ComparisonSummary<Item>>(
     compute_gap_scratch(pi, rho, iv_pi, iv_rho, TieBreak::LowestIndex, &mut scratch)
 }
 
-/// Reusable buffers for the gap scan: both sides' restricted ranks and
-/// interior items, plus the batched walk's count scratch, so the
-/// recursion's 2^k − 1 gap computations share five allocations instead
-/// of cloning both restricted arrays every time.
+/// Reusable buffers for the gap scan: both sides' restricted ranks plus
+/// the batched walk's count scratch, so the recursion's 2^k − 1 gap
+/// computations share three allocations. No item is cloned into them:
+/// each side's summary lends its stored items to the rank walk
+/// ([`StreamState::restricted_ranks_inside`]).
 #[derive(Default)]
 pub struct GapScratch {
     ranks_rho: Vec<u64>,
     ranks_pi: Vec<u64>,
-    items_rho: Vec<Item>,
-    items_pi: Vec<Item>,
     les: Vec<usize>,
 }
 
@@ -90,10 +89,11 @@ pub struct GapScratch {
 /// caller-owned [`GapScratch`].
 ///
 /// One batched treap walk per side
-/// ([`StreamState::restricted_ranks_inside`]) produces the full
-/// Definition 5.1 rank sequences; the argmax is then a flat zip over the
-/// two rank buffers, and the winning extremes resolve directly from the
-/// collected interior items — no positional re-walk.
+/// ([`StreamState::restricted_ranks_inside`]), over items the summary
+/// lends, produces the full Definition 5.1 rank sequences; the argmax is
+/// then a flat zip over the two rank buffers. Only the two winning
+/// extremes are cloned, each found by its interior index in one more
+/// loan of its side's items ([`StreamState::stored_inside_at`]).
 pub fn compute_gap_scratch<S: ComparisonSummary<Item>>(
     pi: &StreamState<S>,
     rho: &StreamState<S>,
@@ -105,12 +105,10 @@ pub fn compute_gap_scratch<S: ComparisonSummary<Item>>(
     let GapScratch {
         ranks_rho,
         ranks_pi,
-        items_rho,
-        items_pi,
         les,
     } = scratch;
-    let rho_off = rho.restricted_ranks_inside(iv_rho, items_rho, les, ranks_rho);
-    let pi_off = pi.restricted_ranks_inside(iv_pi, items_pi, les, ranks_pi);
+    rho.restricted_ranks_inside(iv_rho, les, ranks_rho);
+    pi.restricted_ranks_inside(iv_pi, les, ranks_pi);
 
     let m = ranks_rho.len();
     assert_eq!(
@@ -147,25 +145,21 @@ pub fn compute_gap_scratch<S: ComparisonSummary<Item>>(
 
     // Map the winning indices back through the restricted array layout
     // `[lo] ++ interior ++ [hi]`: full index 0 is the low boundary,
-    // m−1 the high boundary, and interior index j the j-th collected
-    // item past that side's returned boundary offset. The argmax range
-    // keeps best_i ≤ m−2, so the interior lookups are always in range;
-    // the boundary fallbacks are unreachable but keep the function
-    // total for the panic-free driver.
+    // m−1 the high boundary, and full index i the interior item i−1.
+    // The argmax range keeps best_i ≤ m−2, so the interior lookups are
+    // always in range; the boundary fallbacks are unreachable but keep
+    // the function total for the panic-free driver.
     let pi_low = match best_i.checked_sub(1) {
         None => iv_pi.lo().clone(),
-        Some(j) => match items_pi.get(j + pi_off) {
-            Some(it) => Endpoint::Finite(it.clone()),
-            None => iv_pi.hi().clone(),
-        },
+        Some(j) => pi
+            .stored_inside_at(iv_pi, j)
+            .map_or_else(|| iv_pi.hi().clone(), Endpoint::Finite),
     };
     let rho_high = if best_i + 1 == m - 1 {
         iv_rho.hi().clone()
     } else {
-        match items_rho.get(best_i + rho_off) {
-            Some(it) => Endpoint::Finite(it.clone()),
-            None => iv_rho.hi().clone(),
-        }
+        rho.stored_inside_at(iv_rho, best_i)
+            .map_or_else(|| iv_rho.hi().clone(), Endpoint::Finite)
     };
 
     GapInfo {

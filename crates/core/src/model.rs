@@ -99,6 +99,24 @@ pub trait ComparisonSummary<T: Ord + Clone> {
         });
     }
 
+    /// Lends, in one call of `lend`, the stored items strictly inside
+    /// `(lo, hi)` as a sorted slice of borrows: exactly the items
+    /// [`for_each_item_between`](Self::for_each_item_between) visits,
+    /// in the same order. `lend` is called exactly once, with an empty
+    /// slice when nothing lies inside.
+    ///
+    /// This is the clone-free read of the adversary's per-leaf audits:
+    /// the gap scan ranks the lent slice in one batched walk, and the
+    /// Definition 3.2 check reads the ids of the whole array. The
+    /// default collects clones from `for_each_item_between`; summaries
+    /// on the adversary hot path override it to lend their own storage.
+    fn with_items_between(&self, lo: Option<&T>, hi: Option<&T>, lend: &mut dyn FnMut(&[&T])) {
+        let mut items = Vec::new();
+        self.for_each_item_between(lo, hi, &mut |it| items.push(it.clone()));
+        let lent: Vec<&T> = items.iter().collect();
+        lend(&lent);
+    }
+
     /// `|I|` — the number of occupied item cells. Must be cheap (the
     /// harness polls it after every insert) and a deterministic function
     /// of the summary state; it should equal `item_array().len()` up to
@@ -205,6 +223,10 @@ impl<T: Ord + Clone, S: ComparisonSummary<T>> ComparisonSummary<T> for MaxSpaceT
 
     fn for_each_item_between(&self, lo: Option<&T>, hi: Option<&T>, f: &mut dyn FnMut(&T)) {
         self.inner.for_each_item_between(lo, hi, f)
+    }
+
+    fn with_items_between(&self, lo: Option<&T>, hi: Option<&T>, lend: &mut dyn FnMut(&[&T])) {
+        self.inner.with_items_between(lo, hi, lend)
     }
 
     fn stored_count(&self) -> usize {

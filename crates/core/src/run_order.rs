@@ -35,6 +35,8 @@
 //! the very subdivision that minted the stored items (the differential
 //! suite in `cqs-bench` pins this end to end).
 
+use std::borrow::Borrow;
+
 use cqs_ostree::{Fragment, Locate, RunTree};
 use cqs_universe::{Endpoint, Interval, Item, RunGenerator};
 
@@ -394,28 +396,29 @@ impl RunOrder {
         self.tree.last().map(|f| f.hi.clone())
     }
 
-    /// Batched [`Self::count_le`] over label-sorted queries: one
-    /// [`RunTree::multi_locate`] walk finds every query's fragment, and
-    /// the in-fragment offsets come from the cache. `out` is cleared
-    /// first; `out[i]` answers `qs[i]`.
-    pub(crate) fn multi_count_le(&self, qs: &[Item], out: &mut Vec<usize>) {
+    /// Batched [`Self::count_le`] over label-sorted queries, owned or
+    /// borrowed: one [`RunTree::multi_locate`] walk finds every query's
+    /// fragment, and the in-fragment offsets come from the cache. `out`
+    /// is cleared first; `out[i]` answers `qs[i]`.
+    pub(crate) fn multi_count_le<Q: Borrow<Item>>(&self, qs: &[Q], out: &mut Vec<usize>) {
         let mut found = Vec::with_capacity(qs.len());
         self.tree.multi_locate(qs, &mut found);
         out.clear();
         out.extend(
             qs.iter()
                 .zip(&found)
-                .map(|(q, l)| self.le_at(l, q) as usize),
+                .map(|(q, l)| self.le_at(l, q.borrow()) as usize),
         );
     }
 
-    /// Batched [`Self::tag_of`] over label-sorted queries. Cached items
-    /// resolve without touching the tree; only when some query misses
-    /// does one [`RunTree::multi_locate`] walk run, and it resolves
-    /// every miss. `out` is cleared first; `out[i]` answers `qs[i]`.
-    pub(crate) fn multi_tag_of(&self, qs: &[Item], out: &mut Vec<Option<u64>>) {
+    /// Batched [`Self::tag_of`] over label-sorted queries, owned or
+    /// borrowed. Cached items resolve without touching the tree; only
+    /// when some query misses does one [`RunTree::multi_locate`] walk
+    /// run, and it resolves every miss. `out` is cleared first; `out[i]`
+    /// answers `qs[i]`.
+    pub(crate) fn multi_tag_of<Q: Borrow<Item>>(&self, qs: &[Q], out: &mut Vec<Option<u64>>) {
         out.clear();
-        out.extend(qs.iter().map(|q| self.cached_tag(q)));
+        out.extend(qs.iter().map(|q| self.cached_tag(q.borrow())));
         if out.iter().all(Option::is_some) {
             return;
         }
@@ -423,7 +426,7 @@ impl RunOrder {
         self.tree.multi_locate(qs, &mut found);
         for ((slot, q), l) in out.iter_mut().zip(qs).zip(&found) {
             if slot.is_none() {
-                *slot = self.tag_at(l, q);
+                *slot = self.tag_at(l, q.borrow());
             }
         }
     }
@@ -805,6 +808,12 @@ mod tests {
             assert_eq!(tag, imp.tag_of(q), "tag_of diverged on {q:?}");
             assert_eq!(tag, mat.tag_of(q), "model tag_of diverged on {q:?}");
         }
+        // Borrowed queries take the same walks to the same answers.
+        let lent: Vec<&Item> = qs.iter().collect();
+        let (mut lent_le, mut lent_tags) = (Vec::new(), Vec::new());
+        imp.multi_tag_of(&lent, &mut lent_tags);
+        imp.multi_count_le(&lent, &mut lent_le);
+        assert_eq!((lent_le, lent_tags), (le, tags));
     }
 
     #[test]
@@ -862,9 +871,9 @@ mod tests {
         for kind in KINDS {
             let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
             feed(&mut mat, &mut imp, kind, &Interval::whole(), 5);
-            imp.multi_count_le(&[], &mut le);
+            imp.multi_count_le::<Item>(&[], &mut le);
             assert!(le.is_empty());
-            imp.multi_tag_of(&[], &mut tags);
+            imp.multi_tag_of::<Item>(&[], &mut tags);
             assert!(tags.is_empty());
         }
     }

@@ -4,10 +4,12 @@
 //! and arena ids are globally unique with id equality proving label
 //! equality ([`Item::arena_id`](cqs_universe::Item::arena_id)), so
 //! `id → tag` is an immutable fact about one stream: a cached entry is
-//! never stale, only evicted. Both the stream order index
-//! ([`crate::run_order`]) and each side of the
-//! [`EquivalenceChecker`](crate::state::EquivalenceChecker) answer their
-//! hot tag lookups from one of these.
+//! never stale, only evicted. The stream order index
+//! ([`crate::run_order`]) answers its hot tag and rank lookups from one
+//! of these, in either stream representation; that includes the
+//! [`EquivalenceChecker`](crate::state::EquivalenceChecker)'s misses,
+//! the items it could not resolve by position against its previous
+//! pass.
 //!
 //! The table is a fixed array of slots. A lookup hits only on a full id
 //! match; a store simply overwrites its slot. The slot is the top bits
@@ -20,7 +22,7 @@
 //! one leaf's run never collides with itself. An evicted entry costs
 //! its owner one exact lookup (which re-stores it) the next time it is
 //! asked for. Memory is `8 · cap` bytes regardless of N, allocated on
-//! the first store so that building a stream or a checker stays free.
+//! the first store so that building a stream stays free.
 
 use std::cell::{Cell, OnceCell};
 

@@ -6,7 +6,7 @@
 
 use cqs_core::reference::ExactSummary;
 use cqs_core::state::StreamState;
-use cqs_universe::{generate_increasing, Endpoint, Interval};
+use cqs_universe::{generate_increasing, Interval};
 
 #[test]
 fn restricted_ranks_match_per_item_scan() {
@@ -21,33 +21,17 @@ fn restricted_ranks_match_per_item_scan() {
         Interval::open(items[10].clone(), items[11].clone()), // empty interior
     ];
     for iv in &intervals {
-        let (mut got_items, mut les, mut got) = (Vec::new(), Vec::new(), Vec::new());
-        let lo_off = st.restricted_ranks_inside(iv, &mut got_items, &mut les, &mut got);
+        let (mut les, mut got) = (Vec::new(), Vec::new());
+        st.restricted_ranks_inside(iv, &mut les, &mut got);
 
         // Reference: one rank_in descent per entry of the same
         // restricted array.
-        let mut want = vec![st.rank_in(iv, iv.lo())];
-        // The collected array encloses the interior with the finite
-        // boundary items, mirroring Definition 5.1's restricted array.
-        let mut want_items = Vec::new();
-        if let Endpoint::Finite(l) = iv.lo() {
-            want_items.push(l.clone());
-        }
-        assert_eq!(
-            lo_off,
-            want_items.len(),
-            "interior offset diverged in {iv:?}"
-        );
-        st.for_each_stored_inside(iv, &mut |it| {
-            want.push(st.rank_in(iv, &Endpoint::Finite(it.clone())));
-            want_items.push(it.clone());
-        });
-        if let Endpoint::Finite(h) = iv.hi() {
-            want_items.push(h.clone());
-        }
-        want.push(st.rank_in(iv, iv.hi()));
+        let want: Vec<u64> = st
+            .restricted_item_array(iv)
+            .iter()
+            .map(|x| st.rank_in(iv, x))
+            .collect();
         assert_eq!(got, want, "restricted ranks diverged in {iv:?}");
-        assert_eq!(got_items, want_items);
     }
 }
 

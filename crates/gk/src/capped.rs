@@ -82,6 +82,10 @@ impl<T: Ord + Clone> ComparisonSummary<T> for CappedGk<T> {
         self.inner.for_each_item_between(lo, hi, f)
     }
 
+    fn with_items_between(&self, lo: Option<&T>, hi: Option<&T>, lend: &mut dyn FnMut(&[&T])) {
+        self.inner.with_items_between(lo, hi, lend)
+    }
+
     fn stored_count(&self) -> usize {
         self.inner.stored_count()
     }

@@ -140,6 +140,10 @@ impl<T: Ord + Clone> ComparisonSummary<T> for GreedyGk<T> {
         self.list.for_each_item_between(lo, hi, f)
     }
 
+    fn with_items_between(&self, lo: Option<&T>, hi: Option<&T>, lend: &mut dyn FnMut(&[&T])) {
+        self.list.with_items_between(lo, hi, lend)
+    }
+
     fn stored_count(&self) -> usize {
         self.list.len()
     }

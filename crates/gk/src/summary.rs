@@ -108,6 +108,10 @@ impl Bands {
     /// does not exceed its successor's is merged — together with its
     /// band-subtree of preceding lower-band tuples — into the successor,
     /// provided the combined span stays below `thr` = ⌊2εn⌋.
+    ///
+    /// The subtree's mass is at least the tuple's own `g`, so when that
+    /// alone leaves no room below `thr` the merge cannot happen and the
+    /// subtree walk is skipped; the result is the same tuple list.
     pub(crate) fn compress<T>(&mut self, tuples: &mut Vec<GkTuple<T>>, thr: u64) {
         if thr < 2 || tuples.len() < 3 {
             return;
@@ -127,9 +131,58 @@ impl Bands {
                 i -= 1;
                 continue;
             }
-            if bands[iu] <= bands[succ] {
+            let room = thr.saturating_sub(tuples[succ].g + tuples[succ].delta);
+            if bands[iu] <= bands[succ] && tuples[iu].g < room {
                 // Extent of i's band-subtree: consecutive predecessors
                 // with strictly smaller bands (the "descendants").
+                let mut start = iu;
+                let mut g_star = tuples[iu].g;
+                while start > 1 && bands[start - 1] < bands[iu] {
+                    start -= 1;
+                    g_star += tuples[start].g;
+                }
+                if g_star < room {
+                    tuples[succ].g += g_star;
+                    for flag in remove.iter_mut().take(iu + 1).skip(start) {
+                        *flag = true;
+                    }
+                    i = start as isize - 1;
+                    continue;
+                }
+            }
+            i -= 1;
+        }
+        if remove.iter().any(|&r| r) {
+            let mut idx = 0;
+            tuples.retain(|_| {
+                let keep = !remove[idx];
+                idx += 1;
+                keep
+            });
+        }
+    }
+
+    /// The COMPRESS loop before the skip: walks every candidate's
+    /// band-subtree. The test oracle of [`compress`](Self::compress).
+    #[cfg(test)]
+    fn compress_walking_every_subtree<T>(&mut self, tuples: &mut Vec<GkTuple<T>>, thr: u64) {
+        if thr < 2 || tuples.len() < 3 {
+            return;
+        }
+        let (bands, remove) = (&mut self.band, &mut self.remove);
+        bands.clear();
+        bands.extend(tuples.iter().map(|t| band(t.delta.min(thr), thr)));
+        remove.clear();
+        remove.resize(tuples.len(), false);
+        let mut i = tuples.len() as isize - 2;
+        while i >= 1 {
+            let iu = i as usize;
+            let succ = iu + 1;
+            if remove[succ] {
+                i -= 1;
+                continue;
+            }
+            if bands[iu] <= bands[succ] {
                 let mut start = iu;
                 let mut g_star = tuples[iu].g;
                 while start > 1 && bands[start - 1] < bands[iu] {
@@ -178,6 +231,10 @@ impl<T: Ord + Clone> ComparisonSummary<T> for GkSummary<T> {
 
     fn for_each_item_between(&self, lo: Option<&T>, hi: Option<&T>, f: &mut dyn FnMut(&T)) {
         self.list.for_each_item_between(lo, hi, f)
+    }
+
+    fn with_items_between(&self, lo: Option<&T>, hi: Option<&T>, lend: &mut dyn FnMut(&[&T])) {
+        self.list.with_items_between(lo, hi, lend)
     }
 
     fn stored_count(&self) -> usize {
@@ -326,6 +383,40 @@ mod tests {
             q.abs_diff(3_000) <= 6_000 / 8,
             "post-merge insert broke queries: {q}"
         );
+    }
+
+    #[test]
+    fn compress_skip_matches_the_full_subtree_walk() {
+        // Random (g, Δ, thr) lists, short ones and thr = 2 included: the
+        // skip must leave exactly the tuples the full walk leaves.
+        let mut rng = cqs_core::SplitMix64::new(0xc0a1);
+        let (mut fast, mut slow) = (Bands::default(), Bands::default());
+        for round in 0..4000u64 {
+            let len = if round % 4 == 0 {
+                rng.below(4) as usize
+            } else {
+                rng.below(200) as usize
+            };
+            let thr = if round % 5 == 0 {
+                2
+            } else {
+                2 + rng.below(400)
+            };
+            let tuples: Vec<GkTuple<u64>> = (0..len as u64)
+                .map(|v| GkTuple {
+                    v,
+                    g: 1 + rng.below(thr / 2 + 1),
+                    delta: rng.below(thr),
+                })
+                .collect();
+            let (mut a, mut b) = (tuples.clone(), tuples);
+            fast.compress(&mut a, thr);
+            slow.compress_walking_every_subtree(&mut b, thr);
+            let key = |ts: &[GkTuple<u64>]| -> Vec<(u64, u64, u64)> {
+                ts.iter().map(|t| (t.v, t.g, t.delta)).collect()
+            };
+            assert_eq!(key(&a), key(&b), "round {round}: len {len}, thr {thr}");
+        }
     }
 
     #[test]

@@ -486,6 +486,26 @@ impl<T: Ord + Clone> TupleList<T> {
         }
     }
 
+    /// Lends the stored items strictly between `lo` and `hi` as one
+    /// slice of borrows into the tuples: the items
+    /// [`for_each_item_between`](Self::for_each_item_between) visits,
+    /// collected with no item clone.
+    pub(crate) fn with_items_between(
+        &self,
+        lo: Option<&T>,
+        hi: Option<&T>,
+        lend: &mut dyn FnMut(&[&T]),
+    ) {
+        let ts = between(&self.tuples, lo, hi);
+        let fs = between(&self.fresh, lo, hi);
+        let lent: Vec<&T> = if fs.is_empty() {
+            ts.iter().map(|t| &t.v).collect()
+        } else {
+            Merged::new(ts, fs).map(|t| &t.v).collect()
+        };
+        lend(&lent);
+    }
+
     /// The item minimising max(|r_min − r|, |r_max − r|); by the GK
     /// invariant some tuple, hence the best, deviates by at most ⌈εn⌉.
     pub(crate) fn query_rank(&self, r: u64) -> Option<T> {

@@ -18,6 +18,8 @@
 //! from a deterministic SplitMix64 sequence — a tree built by the same
 //! operation sequence always has the same shape.
 
+use std::borrow::Borrow;
+
 /// Sentinel link: no child / empty tree.
 const NIL: u32 = u32::MAX;
 
@@ -199,14 +201,18 @@ impl<T: Ord + Clone> RunTree<T> {
     /// The queries partition at each node into those below the
     /// fragment (descend left), those inside it (answered here), and
     /// those above it (descend right with the count advanced), so
-    /// queries sharing a descent path share its comparisons.
+    /// queries sharing a descent path share its comparisons. The
+    /// queries may be owned items or borrows of them (`Q = T` or
+    /// `Q = &T`); both take the same walk and the same comparisons.
     ///
     /// # Panics
     ///
     /// Debug-asserts that `qs` is sorted non-decreasingly.
-    pub fn multi_locate<'a>(&'a self, qs: &[T], out: &mut Vec<Locate<'a, T>>) {
+    pub fn multi_locate<'a, Q: Borrow<T>>(&'a self, qs: &[Q], out: &mut Vec<Locate<'a, T>>) {
         debug_assert!(
-            qs.iter().zip(qs.iter().skip(1)).all(|(a, b)| a <= b),
+            qs.iter()
+                .zip(qs.iter().skip(1))
+                .all(|(a, b)| a.borrow() <= b.borrow()),
             "multi_locate queries must be sorted"
         );
         out.clear();
@@ -305,10 +311,10 @@ fn locate_from<'a, T: Ord>(nodes: &'a [Node<T>], link: u32, q: &T, before: u64) 
 /// inside it (answered here), and the suffix above it (descends right
 /// with `before + |left| + count`); queries reaching an empty link have
 /// counted everything below them and hit nothing.
-fn multi_locate_walk<'a, T: Ord>(
+fn multi_locate_walk<'a, T: Ord, Q: Borrow<T>>(
     nodes: &'a [Node<T>],
     link: u32,
-    qs: &[T],
+    qs: &[Q],
     before: u64,
     out: &mut [Locate<'a, T>],
 ) {
@@ -319,7 +325,7 @@ fn multi_locate_walk<'a, T: Ord>(
         // A lone query needs no more partitioning: finish with the
         // plain `locate` descent loop.
         if let (Some(q), Some(slot)) = (qs.first(), out.first_mut()) {
-            *slot = locate_from(nodes, link, q, before);
+            *slot = locate_from(nodes, link, q.borrow(), before);
         }
         return;
     }
@@ -330,20 +336,20 @@ fn multi_locate_walk<'a, T: Ord>(
             // of the shared descent path; probing the sorted slice's
             // endpoints first answers those nodes with one comparison
             // instead of two partition scans.
-            let below = if qs.last().is_some_and(|q| *q < node.frag.lo) {
+            let below = if qs.last().is_some_and(|q| *q.borrow() < node.frag.lo) {
                 qs.len()
-            } else if qs.first().is_some_and(|q| *q >= node.frag.lo) {
+            } else if qs.first().is_some_and(|q| *q.borrow() >= node.frag.lo) {
                 0
             } else {
-                qs.partition_point(|q| *q < node.frag.lo)
+                qs.partition_point(|q| *q.borrow() < node.frag.lo)
             };
             let (ql, rest) = qs.split_at(below);
-            let inside = if rest.first().is_some_and(|q| *q > node.frag.hi) {
+            let inside = if rest.first().is_some_and(|q| *q.borrow() > node.frag.hi) {
                 0
-            } else if rest.last().is_some_and(|q| *q <= node.frag.hi) {
+            } else if rest.last().is_some_and(|q| *q.borrow() <= node.frag.hi) {
                 rest.len()
             } else {
-                rest.partition_point(|q| *q <= node.frag.hi)
+                rest.partition_point(|q| *q.borrow() <= node.frag.hi)
             };
             let (qin, qr) = rest.split_at(inside);
             let (ol, orest) = out.split_at_mut(ql.len());
@@ -521,9 +527,10 @@ mod tests {
 
     /// Runs the sorted probes `qs` through [`RunTree::multi_locate`] as
     /// one whole batch, as sub-batches, and as single-query batches, and
-    /// checks every answer against the model's `(before, hit)`.
+    /// checks every answer against the model's `(before, hit)`. Each
+    /// batch also runs borrowed, which must find the same fragments.
     fn check_multi_locate(t: &RunTree<u64>, model: &[Fragment<u64>], qs: &[u64]) {
-        let mut out = Vec::new();
+        let (mut out, mut lent) = (Vec::new(), Vec::new());
         for chunk in [qs.len().max(1), 7, 1] {
             for batch in qs.chunks(chunk) {
                 t.multi_locate(batch, &mut out);
@@ -535,6 +542,16 @@ mod tests {
                         l.hit.map(|f| f.lo),
                         hit.map(|i| model[i].lo),
                         "batched hit diverged at {q}"
+                    );
+                }
+                let refs: Vec<&u64> = batch.iter().collect();
+                t.multi_locate(&refs, &mut lent);
+                assert_eq!(lent.len(), out.len());
+                for (a, b) in out.iter().zip(&lent) {
+                    assert_eq!(a.before, b.before, "borrowed before diverged");
+                    assert!(
+                        a.hit.map(std::ptr::from_ref) == b.hit.map(std::ptr::from_ref),
+                        "borrowed hit diverged"
                     );
                 }
             }
@@ -563,7 +580,7 @@ mod tests {
         assert!(t.first_above(&5).is_none() && t.last_below(&5).is_none());
         check_multi_locate(&t, &[], &[0, 5, 5, 9]);
         let mut out = Vec::new();
-        t.multi_locate(&[], &mut out);
+        t.multi_locate::<u64>(&[], &mut out);
         assert!(out.is_empty());
     }
 

@@ -132,6 +132,9 @@ pub const HOT_PATH_FNS: &[&str] = &[
     "multi_count_le",
     "multi_tag_of",
     "multi_locate",
+    // The summaries' clone-free read: both per-leaf audits borrow every
+    // stored item through it.
+    "with_items_between",
 ];
 
 /// Entry points of the panic-free adversary driver — the *roots* of the
@@ -321,7 +324,12 @@ mod tests {
 
     #[test]
     fn batched_walks_are_hot_path_roots() {
-        for f in ["multi_count_le", "multi_tag_of", "multi_locate"] {
+        for f in [
+            "multi_count_le",
+            "multi_tag_of",
+            "multi_locate",
+            "with_items_between",
+        ] {
             assert!(HOT_PATH_FNS.contains(&f), "{f} missing from hot-path roots");
         }
     }

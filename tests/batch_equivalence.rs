@@ -8,7 +8,10 @@
 
 use cqs::prelude::*;
 use cqs_core::adversary::Adversary;
+use cqs_core::gap::{compute_gap_scratch, GapInfo, GapScratch, TieBreak};
 use cqs_core::reference::ExactSummary;
+use cqs_core::refine::refine_from;
+use cqs_core::{Endpoint, StreamRepr, StreamState};
 use cqs_gk::{GkSummary, GreedyGk};
 use cqs_snapshot::SnapshotWrite;
 use cqs_streams::{workload, Workload};
@@ -204,4 +207,129 @@ fn adversary_audits_identical_across_insert_modes() {
     assert_adversary_modes_agree("gk", 16, 4, || GkSummary::<Item>::new(1.0 / 16.0));
     assert_adversary_modes_agree("gk", 8, 5, || GkSummary::<Item>::new(1.0 / 8.0));
     assert_adversary_modes_agree("gk-greedy", 16, 4, || GreedyGk::<Item>::new(1.0 / 16.0));
+}
+
+/// The gap scan's `GapInfo`, rebuilt from `item_array()` and one
+/// `rank_in` per entry of each side's restricted array: value, index,
+/// both winning extremes and the array length.
+fn reference_gap<S: ComparisonSummary<Item>>(
+    pi: &StreamState<S>,
+    rho: &StreamState<S>,
+    iv_pi: &Interval,
+    iv_rho: &Interval,
+    tie: TieBreak,
+) -> (u64, usize, Endpoint, Endpoint, usize) {
+    let restricted = |st: &StreamState<S>, iv: &Interval| {
+        let mut arr = vec![iv.lo().clone()];
+        arr.extend(
+            st.summary
+                .item_array()
+                .into_iter()
+                .filter(|it| iv.contains(it))
+                .map(Endpoint::Finite),
+        );
+        arr.push(iv.hi().clone());
+        let ranks: Vec<u64> = arr.iter().map(|x| st.rank_in(iv, x)).collect();
+        (arr, ranks)
+    };
+    let (arr_pi, ranks_pi) = restricted(pi, iv_pi);
+    let (arr_rho, ranks_rho) = restricted(rho, iv_rho);
+    assert_eq!(arr_pi.len(), arr_rho.len());
+    let gaps: Vec<u64> = (0..arr_pi.len() - 1)
+        .map(|i| ranks_rho[i + 1] - ranks_pi[i])
+        .collect();
+    let best = *gaps.iter().max().unwrap();
+    let index = match tie {
+        TieBreak::LowestIndex => gaps.iter().position(|&g| g == best),
+        TieBreak::HighestIndex => gaps.iter().rposition(|&g| g == best),
+    }
+    .unwrap();
+    (
+        best,
+        index,
+        arr_pi[index].clone(),
+        arr_rho[index + 1].clone(),
+        arr_pi.len(),
+    )
+}
+
+/// Checks both tie-breaking policies of `compute_gap_scratch` against
+/// the reference and returns the lowest-index gap, which the recursion
+/// refines on.
+fn audit_against_reference<S: ComparisonSummary<Item>>(
+    pi: &StreamState<S>,
+    rho: &StreamState<S>,
+    iv_pi: &Interval,
+    iv_rho: &Interval,
+    scratch: &mut GapScratch,
+) -> GapInfo {
+    for tie in [TieBreak::HighestIndex, TieBreak::LowestIndex] {
+        let got = compute_gap_scratch(pi, rho, iv_pi, iv_rho, tie, scratch);
+        let want = reference_gap(pi, rho, iv_pi, iv_rho, tie);
+        assert_eq!(
+            (
+                got.gap,
+                got.index,
+                got.pi_low,
+                got.rho_high,
+                got.restricted_len
+            ),
+            want,
+            "gap diverged ({tie:?}) in {iv_pi:?} / {iv_rho:?}"
+        );
+    }
+    compute_gap_scratch(pi, rho, iv_pi, iv_rho, TieBreak::LowestIndex, scratch)
+}
+
+/// The adversary's recursion (`adv`/`leaf`), auditing every node, and
+/// every leaf's refined intervals before their run arrives (empty
+/// interiors).
+fn adv_audited<S: ComparisonSummary<Item>>(
+    k: u32,
+    leaf: usize,
+    pi: &mut StreamState<S>,
+    rho: &mut StreamState<S>,
+    iv_pi: &Interval,
+    iv_rho: &Interval,
+    scratch: &mut GapScratch,
+) -> GapInfo {
+    if k == 1 {
+        if !pi.is_empty() {
+            let empty = audit_against_reference(pi, rho, iv_pi, iv_rho, scratch);
+            assert_eq!(empty.restricted_len, 2, "refined interval not empty");
+        }
+        pi.push_run_in(iv_pi, &generate_increasing(iv_pi, leaf));
+        rho.push_run_in(iv_rho, &generate_increasing(iv_rho, leaf));
+    } else {
+        let left = adv_audited(k - 1, leaf, pi, rho, iv_pi, iv_rho, scratch);
+        let refined = refine_from(pi, rho, iv_pi, iv_rho, left);
+        adv_audited(
+            k - 1,
+            leaf,
+            pi,
+            rho,
+            &refined.iv_pi,
+            &refined.iv_rho,
+            scratch,
+        );
+    }
+    audit_against_reference(pi, rho, iv_pi, iv_rho, scratch)
+}
+
+#[test]
+fn gap_winners_match_item_array_reference_on_refined_streams() {
+    let whole = Interval::whole();
+    for repr in [StreamRepr::Materialized, StreamRepr::Implicit] {
+        let mut scratch = GapScratch::default();
+        let (mut pi, mut rho) = (
+            StreamState::with_repr(GkSummary::<Item>::new(1.0 / 16.0), repr),
+            StreamState::with_repr(GkSummary::<Item>::new(1.0 / 16.0), repr),
+        );
+        adv_audited(6, 32, &mut pi, &mut rho, &whole, &whole, &mut scratch);
+        let (mut pi, mut rho) = (
+            StreamState::with_repr(ExactSummary::<Item>::new(), repr),
+            StreamState::with_repr(ExactSummary::<Item>::new(), repr),
+        );
+        adv_audited(4, 8, &mut pi, &mut rho, &whole, &whole, &mut scratch);
+    }
 }

@@ -138,3 +138,83 @@ fn queries_return_stored_items_only() {
     check_answers!(CkmsSummary::new(0.02), "ckms");
     check_answers!(ReservoirSummary::with_capacity(200, 0.05, 4), "reservoir");
 }
+
+/// `with_items_between` must lend, in one call, exactly the items
+/// `for_each_item_between` visits, in the same order, for every pair
+/// of bounds: unbounded, inside the stream, on its extremes and
+/// outside it (crossed pairs included).
+fn check_lend<S: ComparisonSummary<u64>>(s: &S, n: u64, name: &str) {
+    let bounds = [
+        None,
+        Some(0),
+        Some(1),
+        Some(n / 3),
+        Some(n / 2),
+        Some(n),
+        Some(n + 7),
+    ];
+    for lo in bounds {
+        for hi in bounds {
+            let mut visited = Vec::new();
+            s.for_each_item_between(lo.as_ref(), hi.as_ref(), &mut |x| visited.push(*x));
+            let (mut lent, mut loans) = (Vec::new(), 0);
+            s.with_items_between(lo.as_ref(), hi.as_ref(), &mut |xs| {
+                loans += 1;
+                lent.extend(xs.iter().map(|x| **x));
+            });
+            assert_eq!(loans, 1, "{name}: lend called {loans} times");
+            assert_eq!(
+                lent, visited,
+                "{name}: lent items differ in ({lo:?}, {hi:?})"
+            );
+        }
+    }
+}
+
+#[test]
+fn lent_items_match_visited_items_for_all_summaries() {
+    let xs = shuffled(5_100, 0x1e4d);
+    // Checked after every prefix length here. At 5 100 items GK's
+    // per-item inserts since the last splice (at 5 000, a compress
+    // boundary of ε = 0.001) are still pending in its fresh run.
+    let checkpoints = [1usize, 37, 5_000, 5_100];
+    macro_rules! check_lending {
+        ($make:expr, $name:expr) => {{
+            let mut s = $make;
+            let mut fed = 0;
+            for &cp in &checkpoints {
+                for &x in &xs[fed..cp] {
+                    s.insert(x);
+                }
+                fed = cp;
+                check_lend(&s, xs.len() as u64, $name);
+            }
+            s
+        }};
+    }
+    let gk = check_lending!(GkSummary::new(0.001), "gk");
+    assert!(
+        matches!(gk.tuples(), std::borrow::Cow::Owned(_)),
+        "gk: no fresh run pending at the last checkpoint"
+    );
+    let greedy = check_lending!(GreedyGk::new(0.001), "gk-greedy");
+    assert!(
+        matches!(greedy.tuples(), std::borrow::Cow::Owned(_)),
+        "gk-greedy: no fresh run pending at the last checkpoint"
+    );
+    check_lending!(GkSummary::new(0.02), "gk-eps-0.02");
+    check_lending!(CappedGk::new(0.001, 400), "gk-capped");
+    check_lending!(KllSketch::with_seed(64, 1), "kll");
+    check_lending!(SampledKll::with_seed(64, 2), "kll-sampled");
+    check_lending!(MrlSummary::new(0.02, 5_100), "mrl");
+    check_lending!(CkmsSummary::new(0.02), "ckms");
+    check_lending!(ReservoirSummary::with_capacity(100, 0.05, 2), "reservoir");
+    check_lending!(cqs::core::reference::ExactSummary::new(), "exact");
+    check_lending!(MaxSpaceTracker::new(GkSummary::new(0.001)), "tracked-gk");
+    check_lending!(FaultySummary::pristine(GkSummary::new(0.001)), "faulty-gk");
+    let plan = FaultPlan::none().inject(2_000, FaultKind::RankSlack(50));
+    check_lending!(
+        FaultySummary::new(KllSketch::with_seed(64, 4), plan),
+        "faulty-kll"
+    );
+}
