@@ -14,32 +14,29 @@
 
 /// The band of an uncertainty value `delta` at threshold `p = ⌊2εn⌋`.
 ///
-/// Closed form: writing `diff = p − Δ ≥ 1` and `lo_α = 2^{α−1} +
+/// Closed form: writing `diff = p − Δ` and `lo_α = 2^{α−1} +
 /// (p mod 2^{α−1})`, the band windows `[lo_α, lo_{α+1})` tile `[1, ∞)`
 /// contiguously (the window's upper end `2^α + (p mod 2^α)` IS the next
 /// window's `lo`), so the band is the largest α with `lo_α ≤ diff`.
-/// Since `lo_α ∈ [2^{α−1}, 2^α)`, that α is `⌊log₂ diff⌋ + 1` or one
-/// less — a `leading_zeros` and one comparison, where the defining scan
-/// pays one iteration per candidate band. COMPRESS evaluates this per
-/// stored tuple per call, which made the scan the single hottest piece
-/// of the GK insert path under the adversary.
+/// Since `lo_α ∈ [2^{α−1}, 2^α)`, that α is `α₀ = ⌊log₂ diff⌋ + 1` or
+/// one less: `band = α₀ − (lo_{α₀} > diff)`. Both sides of that test
+/// carry the same top bit 2^{α₀−1}, so it compares only the bits below
+/// it, `p mod 2^{α₀−1}` against `diff mod 2^{α₀−1}`. That is a
+/// `leading_zeros`, a mask and one comparison, with no data-dependent
+/// branch, where the defining scan pays one iteration per candidate
+/// band. `diff = 0` (Δ = p) gives α₀ = 0 and an empty mask, so band 0,
+/// and the mask never shifts past 63 bits, so α₀ = 64 needs no special
+/// case. COMPRESS evaluates this per stored tuple per call.
 ///
 /// # Panics
 ///
 /// Debug-panics if `delta > p` (no legal tuple exceeds the threshold).
 pub fn band(delta: u64, p: u64) -> u32 {
     debug_assert!(delta <= p, "delta {delta} exceeds threshold {p}");
-    if delta == p {
-        return 0;
-    }
-    let diff = p - delta; // ≥ 1
-    let alpha = 64 - diff.leading_zeros(); // ⌊log₂ diff⌋ + 1, in [1, 64]
-    let half = 1u64 << (alpha - 1);
-    if half + (p & (half - 1)) <= diff {
-        alpha
-    } else {
-        alpha - 1
-    }
+    let diff = p - delta;
+    let alpha = 64 - diff.leading_zeros(); // ⌊log₂ diff⌋ + 1, 0 for diff = 0
+    let low = (1u64 << alpha.saturating_sub(1)) - 1; // the bits below 2^{α−1}
+    alpha - u32::from(p & low > diff & low)
 }
 
 #[cfg(test)]
@@ -82,6 +79,24 @@ mod tests {
                 assert_eq!(band(delta, p), band_by_scan(delta, p));
             }
         }
+    }
+
+    #[test]
+    fn closed_form_matches_window_scan_at_the_top_bands() {
+        // Thresholds near 2⁶⁴, where α reaches 64 and the masks are wide.
+        for p in [1u64 << 62, (1 << 63) - 1, 1 << 63, u64::MAX - 1, u64::MAX] {
+            for delta in (0..=300)
+                .chain((0..300).map(|d| p / 2 + d))
+                .chain(p - 300..=p)
+            {
+                assert_eq!(
+                    band(delta, p),
+                    band_by_scan(delta, p),
+                    "delta={delta}, p={p}"
+                );
+            }
+        }
+        assert_eq!(band(0, u64::MAX), 64);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Exactness of the fresh run and of the one-pass merge, against the
-//! code they replaced.
+//! Exactness of the arrival-order fresh buffer and of the one-pass
+//! merge, against the code they replaced.
 //!
 //! The oracle is the shift-per-insert body GK used before per-item
 //! inserts were buffered: a binary search plus `Vec::insert` per item,
-//! COMPRESS every period. The fold oracle is the four-vector
-//! widened-bounds merge. Every loop draws from a fixed-seed SplitMix64,
-//! so a failure replays exactly. (The inner `cfg(test)` module keeps the
+//! COMPRESS every period. Every reader, snapshot part and merge of a
+//! summary with items pending must see exactly the oracle's list. The
+//! fold oracle is the four-vector widened-bounds merge. Every loop draws
+//! from a fixed-seed SplitMix64, so a failure replays exactly. (The inner `cfg(test)` module keeps the
 //! lint's item scan, which reads files one by one, from taking this
 //! test code for library code.)
 
@@ -46,7 +47,7 @@ mod tests {
             (2.0 * self.eps * self.n as f64).floor() as u64
         }
 
-        /// The pre-fresh-run insert: shift the tuple vector per item.
+        /// The unbuffered insert: shift the tuple vector per item.
         fn insert(&mut self, item: u64) {
             let pos = self.tuples.partition_point(|t| t.v < item);
             let thr = self.threshold();
@@ -146,6 +147,7 @@ mod tests {
         fn make(eps: f64) -> Self;
         fn parts(&self) -> (Cow<'_, [GkTuple<u64>]>, u64, f64, u64);
         fn merge_in(&mut self, other: &Self);
+        fn restore(parts: (Vec<GkTuple<u64>>, u64, f64, u64)) -> Self;
         fn oracle(eps: f64) -> Oracle;
     }
 
@@ -158,6 +160,9 @@ mod tests {
         }
         fn merge_in(&mut self, other: &Self) {
             self.merge(other)
+        }
+        fn restore((ts, n, eps, period): (Vec<GkTuple<u64>>, u64, f64, u64)) -> Self {
+            GkSummary::from_snapshot_parts(ts, n, eps, period).expect("valid parts")
         }
         fn oracle(eps: f64) -> Oracle {
             let mut bands = summary::Bands::default();
@@ -175,21 +180,29 @@ mod tests {
         fn merge_in(&mut self, other: &Self) {
             self.merge(other)
         }
+        fn restore((ts, n, eps, period): (Vec<GkTuple<u64>>, u64, f64, u64)) -> Self {
+            GreedyGk::from_snapshot_parts(ts, n, eps, period).expect("valid parts")
+        }
         fn oracle(eps: f64) -> Oracle {
             Oracle::new(eps, Box::new(greedy::compress))
         }
     }
 
-    /// Stream shapes: shuffled, sorted, reverse, sawtooth, duplicate-heavy.
+    /// Stream shapes: shuffled, sorted, reverse, sawtooth, duplicate-heavy,
+    /// and streams whose duplicates keep landing on the buffer's running
+    /// minimum and maximum (shuffled mod 3, constant).
     fn streams(n: u64, rng: &mut SplitMix64) -> Vec<(&'static str, Vec<u64>)> {
         let mut shuffled: Vec<u64> = (1..=n).collect();
         rng.shuffle(&mut shuffled);
+        let mod3 = shuffled.iter().map(|x| x % 3).collect();
         vec![
             ("shuffled", shuffled),
             ("sorted", (1..=n).collect()),
             ("reverse", (1..=n).rev().collect()),
             ("sawtooth", (0..n).map(|i| (i % 97) * 64 + i / 97).collect()),
             ("duplicates", (0..n).map(|_| rng.below(16)).collect()),
+            ("mod 3", mod3),
+            ("constant", vec![42; n as usize]),
         ]
     }
 
@@ -202,7 +215,7 @@ mod tests {
     }
 
     /// Every reader of `s` agrees with the same reader over the oracle's
-    /// list, which has no fresh run.
+    /// list, which has nothing pending.
     fn assert_readers_match<S: Variant>(s: &S, oracle: &Oracle, ps: &[u64], label: &str) {
         let reference = oracle.list();
         let (parts, n, eps, period) = s.parts();
@@ -258,9 +271,10 @@ mod tests {
         }
     }
 
+    /// ε = 0.0002 (period 2500) also flushes when the buffer is full.
     fn fresh_run_matches_oracle<S: Variant>(name: &str) {
         let mut rng = SplitMix64::new(0xf5e5);
-        for eps in [0.1, 0.02, 0.001] {
+        for eps in [0.1, 0.02, 0.001, 0.0002] {
             for (shape, xs) in streams(1500, &mut rng) {
                 let label = format!("{name}/{shape}/eps {eps}");
                 drive(&mut S::make(eps), &mut S::oracle(eps), &xs, &label);
@@ -276,6 +290,41 @@ mod tests {
     #[test]
     fn greedy_fresh_run_matches_shift_insert_oracle() {
         fresh_run_matches_oracle::<GreedyGk<u64>>("gk-greedy");
+    }
+
+    /// Every reader after every insert of the first two compress periods,
+    /// so each one sees the buffer at every fill level, and a snapshot
+    /// restored mid-buffer goes on exactly like the summary it came from.
+    fn reads_after_every_insert<S: Variant>(name: &str) {
+        let mut rng = SplitMix64::new(0x9ead);
+        for eps in [0.1, 0.02, 0.004] {
+            let period = default_period(eps);
+            for (shape, xs) in streams(2 * period + period / 2, &mut rng) {
+                let (head, tail) = xs.split_at(2 * period as usize);
+                let label = format!("{name}/{shape}/eps {eps}");
+                let ps = probes(&xs);
+                let (mut s, mut oracle) = (S::make(eps), S::oracle(eps));
+                for (i, &x) in head.iter().enumerate() {
+                    s.insert(x);
+                    oracle.insert(x);
+                    assert_readers_match(&s, &oracle, &ps, &format!("{label} @ {i}"));
+                }
+                let parts = s.parts();
+                let mut restored = S::restore((parts.0.into_owned(), parts.1, parts.2, parts.3));
+                drive(
+                    &mut restored,
+                    &mut oracle,
+                    tail,
+                    &format!("{label}/restored"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reads_after_every_insert_match_oracle() {
+        reads_after_every_insert::<GkSummary<u64>>("gk");
+        reads_after_every_insert::<GreedyGk<u64>>("gk-greedy");
     }
 
     /// A clone carries the pending run and continues exactly.
@@ -332,11 +381,21 @@ mod tests {
     /// the two oracle lists, followed by the variant's COMPRESS.
     fn merge_with_pending_runs<S: Variant>(name: &str) {
         let mut rng = SplitMix64::new(0x3e26);
+        // (|a|, |b|, value range): shared small values put duplicates
+        // across the sides, and three values put them at both ends of
+        // both buffers.
+        let cases = [
+            (1203, 777, 3000),
+            (1000, 1013, 3000),
+            (0, 500, 3000),
+            (640, 0, 3000),
+            (9, 3, 3000),
+            (1203, 777, 3),
+        ];
         for eps in [0.02, 0.001] {
-            for (a_len, b_len) in [(1203, 777), (1000, 1013), (0, 500), (640, 0), (9, 3)] {
+            for (a_len, b_len, range) in cases {
                 let draw = |rng: &mut SplitMix64, len: u64| -> Vec<u64> {
-                    // Shared small values put duplicates across the sides.
-                    (0..len).map(|_| rng.below(3000)).collect()
+                    (0..len).map(|_| rng.below(range)).collect()
                 };
                 let (xa, xb) = (draw(&mut rng, a_len), draw(&mut rng, b_len));
                 let (mut a, mut b) = (S::make(eps), S::make(eps));
@@ -361,7 +420,7 @@ mod tests {
                     want.eps = eps;
                     want.period = default_period(eps);
                 }
-                let label = format!("{name}/merge {a_len}+{b_len}/eps {eps}");
+                let label = format!("{name}/merge {a_len}+{b_len} below {range}/eps {eps}");
                 assert_readers_match(&a, &want, &probes(&xa), &label);
             }
         }

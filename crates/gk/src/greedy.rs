@@ -80,7 +80,7 @@ impl<T: Ord + Clone> GreedyGk<T> {
         self.list.invariant_holds()
     }
 
-    /// Splices pending inserts, then compresses at threshold `cap`.
+    /// Flushes pending inserts, then compresses at threshold `cap`.
     pub(crate) fn compress(&mut self, cap: u64) {
         compress(self.list.spliced(), cap);
     }

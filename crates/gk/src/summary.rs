@@ -1,6 +1,9 @@
 //! The original banded Greenwald–Khanna summary: the shared
-//! [`TupleList`] core (fresh run, readers, merge) plus the band-based
-//! COMPRESS of the GK analysis, the one part that is this variant's own.
+//! [`TupleList`] core (the arrival-order fresh buffer, readers, merge)
+//! plus the band-based COMPRESS of the GK analysis, the one part that is
+//! this variant's own. COMPRESS computes every band by the branch-free
+//! closed form of [`band`], and stops a band-subtree walk as soon as the
+//! subtree's mass leaves no room for the merge.
 
 use std::borrow::Cow;
 
@@ -109,9 +112,9 @@ impl Bands {
     /// band-subtree of preceding lower-band tuples — into the successor,
     /// provided the combined span stays below `thr` = ⌊2εn⌋.
     ///
-    /// The subtree's mass is at least the tuple's own `g`, so when that
-    /// alone leaves no room below `thr` the merge cannot happen and the
-    /// subtree walk is skipped; the result is the same tuple list.
+    /// The subtree walk stops as soon as its mass `g*` leaves no room
+    /// below `thr`: the merge cannot happen then, so where the subtree
+    /// starts does not matter, and the result is the same tuple list.
     pub(crate) fn compress<T>(&mut self, tuples: &mut Vec<GkTuple<T>>, thr: u64) {
         if thr < 2 || tuples.len() < 3 {
             return;
@@ -123,30 +126,27 @@ impl Bands {
         // to keep the pass O(s).
         remove.clear();
         remove.resize(tuples.len(), false);
-        let mut i = tuples.len() as isize - 2;
+        let mut i = tuples.len() - 2;
         while i >= 1 {
-            let iu = i as usize;
-            let succ = iu + 1;
-            if remove[succ] {
-                i -= 1;
-                continue;
-            }
+            let succ = i + 1;
             let room = thr.saturating_sub(tuples[succ].g + tuples[succ].delta);
-            if bands[iu] <= bands[succ] && tuples[iu].g < room {
+            if bands[i] <= bands[succ] {
                 // Extent of i's band-subtree: consecutive predecessors
                 // with strictly smaller bands (the "descendants").
-                let mut start = iu;
-                let mut g_star = tuples[iu].g;
-                while start > 1 && bands[start - 1] < bands[iu] {
+                let mut start = i;
+                let mut g_star = tuples[i].g;
+                while g_star < room && start > 1 && bands[start - 1] < bands[i] {
                     start -= 1;
                     g_star += tuples[start].g;
                 }
                 if g_star < room {
                     tuples[succ].g += g_star;
-                    for flag in remove.iter_mut().take(iu + 1).skip(start) {
-                        *flag = true;
+                    if let Some(flags) = remove.get_mut(start..=i) {
+                        flags.fill(true);
                     }
-                    i = start as isize - 1;
+                    // Candidate `start − 1` now precedes a removed tuple,
+                    // and such a candidate is skipped: resume past it.
+                    i = start.saturating_sub(2);
                     continue;
                 }
             }
@@ -162,8 +162,8 @@ impl Bands {
         }
     }
 
-    /// The COMPRESS loop before the skip: walks every candidate's
-    /// band-subtree. The test oracle of [`compress`](Self::compress).
+    /// The COMPRESS loop before the early exit: walks every candidate's
+    /// whole band-subtree. The test oracle of [`compress`](Self::compress).
     #[cfg(test)]
     fn compress_walking_every_subtree<T>(&mut self, tuples: &mut Vec<GkTuple<T>>, thr: u64) {
         if thr < 2 || tuples.len() < 3 {
@@ -417,6 +417,12 @@ mod tests {
             };
             assert_eq!(key(&a), key(&b), "round {round}: len {len}, thr {thr}");
         }
+    }
+
+    #[test]
+    fn summary_fits_two_cache_lines() {
+        // The adversary builds two summaries per set-up.
+        assert!(std::mem::size_of::<GkSummary<u64>>() <= 128);
     }
 
     #[test]

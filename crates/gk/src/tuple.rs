@@ -2,23 +2,37 @@
 //! hold: inserts, readers, snapshot parts and merge. The variants differ
 //! only in COMPRESS, which they pass in as a closure.
 //!
-//! A per-item insert does not shift the tuple vector: it lands in a small
-//! sorted *fresh run*, spliced into the tuples in one pass when full, at
-//! every compress boundary, and before a sorted-run insert or a merge.
-//! This is exact. An item's Δ depends only on whether it lands first or
-//! last in the list at arrival, and sequential inserts put equal items
-//! newest first, so a fresh tuple gets its final Δ on arrival. The
-//! *logical* list (the tuples merged with the fresh run, fresh first among
-//! equals) is then after every insert the list that a binary search plus
-//! `Vec::insert` per item builds, and it is what every reader sees.
+//! A per-item insert compares nothing. It appends the item to a *fresh
+//! buffer* in arrival order, with Δ = ⌊2εn⌋ − 1 (0 in the grace period)
+//! and its arrival index in `g`, since a fresh tuple's `g` is always 1.
+//! The buffer is flushed at every compress boundary, before a sorted-run
+//! insert, a merge or a budget COMPRESS, and when it holds `FRESH_CAP`
+//! items. A flush sorts it once by value, newest first among equals (the
+//! order sequential inserts leave equal items in), settles it, and splices
+//! it into the tuples.
+//!
+//! This is exact. An item's Δ depends only on whether it landed first or
+//! last in the list at arrival, and the tuples do not change between an
+//! arrival and its flush. In the sorted buffer an item landed first iff
+//! its arrival index is below every index sorted before it (a prefix
+//! minimum) and it is at most the first tuple; it landed last iff its
+//! index is below every index sorted after it (a suffix minimum) and it
+//! is above the last tuple. Settling reads arrival indices, and compares
+//! only those record items with the list's ends. The *logical* list (the
+//! tuples merged with the settled buffer, fresh first among equals) is
+//! then after every insert the list that a binary search plus
+//! `Vec::insert` per item builds, and it is what every reader sees: with
+//! items pending, a reader sorts and settles references to them first.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::ops::ControlFlow;
 
 use cqs_core::MergeError;
 
-/// Per-item inserts buffered in the fresh run before one splice.
-const FRESH_CAP: usize = 256;
+/// Per-item inserts held in the fresh buffer before one flush; also the
+/// largest piece of a sorted run staged at once.
+const FRESH_CAP: usize = 1024;
 
 /// One stored tuple of a GK-family summary.
 ///
@@ -69,17 +83,68 @@ fn arrival<T>(v: T, thr: u64, exact: bool) -> GkTuple<T> {
     GkTuple { v, g: 1, delta }
 }
 
-/// The logical list in order: each fresh tuple before the spliced
-/// tuples equal to it.
-struct Merged<'a, T> {
+/// The order of a flushed buffer: by value, and among equal values by
+/// arrival index (in `g`) descending, newest first.
+fn newest_first<U: Ord>(a: &GkTuple<U>, b: &GkTuple<U>) -> Ordering {
+    a.v.cmp(&b.v).then_with(|| b.g.cmp(&a.g))
+}
+
+/// Settles a buffer sorted by [`newest_first`]: an item that landed
+/// first or last in the list at arrival gets Δ = 0, and each `g` goes
+/// back to 1. `first` and `last` are the end values of the tuples.
+fn settle<U: Ord>(run: &mut [GkTuple<U>], first: Option<&U>, last: Option<&U>) {
+    // Landed first: no earlier arrival sorts before it.
+    let mut min = u64::MAX;
+    for t in run.iter_mut() {
+        if t.g < min {
+            min = t.g;
+            if t.delta > 0 && first.is_none_or(|f| t.v <= *f) {
+                t.delta = 0;
+            }
+        }
+    }
+    // Landed last: no earlier arrival sorts after it.
+    let mut min = u64::MAX;
+    for t in run.iter_mut().rev() {
+        if t.g < min {
+            min = t.g;
+            if t.delta > 0 && last.is_none_or(|l| *l < t.v) {
+                t.delta = 0;
+            }
+        }
+        t.g = 1;
+    }
+}
+
+/// A tuple borrowed as readers see it.
+fn view<T>(t: &GkTuple<T>) -> GkTuple<&T> {
+    GkTuple {
+        v: &t.v,
+        g: t.g,
+        delta: t.delta,
+    }
+}
+
+/// A borrowed tuple cloned back into an owned one.
+fn owned<T: Clone>(t: GkTuple<&T>) -> GkTuple<T> {
+    GkTuple {
+        v: t.v.clone(),
+        g: t.g,
+        delta: t.delta,
+    }
+}
+
+/// The logical list in order: each settled fresh tuple before the
+/// spliced tuples equal to it.
+struct Merged<'a, 'b, T> {
     tuples: &'a [GkTuple<T>],
-    fresh: &'a [GkTuple<T>],
+    fresh: &'b [GkTuple<&'a T>],
     /// Spliced tuples still to emit before `fresh[0]`.
     before: usize,
 }
 
-impl<'a, T: Ord> Merged<'a, T> {
-    fn new(tuples: &'a [GkTuple<T>], fresh: &'a [GkTuple<T>]) -> Self {
+impl<'a, 'b, T: Ord> Merged<'a, 'b, T> {
+    fn new(tuples: &'a [GkTuple<T>], fresh: &'b [GkTuple<&'a T>]) -> Self {
         let before = Self::cut(tuples, fresh);
         Merged {
             tuples,
@@ -88,26 +153,30 @@ impl<'a, T: Ord> Merged<'a, T> {
         }
     }
 
-    fn cut(tuples: &[GkTuple<T>], fresh: &[GkTuple<T>]) -> usize {
-        fresh.first().map_or(tuples.len(), |f| gallop(tuples, &f.v))
+    fn cut(tuples: &[GkTuple<T>], fresh: &[GkTuple<&T>]) -> usize {
+        fresh.first().map_or(tuples.len(), |f| gallop(tuples, f.v))
     }
 }
 
-impl<'a, T: Ord> Iterator for Merged<'a, T> {
-    type Item = &'a GkTuple<T>;
+impl<'a, T: Ord> Iterator for Merged<'a, '_, T> {
+    type Item = GkTuple<&'a T>;
 
-    fn next(&mut self) -> Option<&'a GkTuple<T>> {
+    fn next(&mut self) -> Option<GkTuple<&'a T>> {
         if self.before == 0 {
             if let Some((f, rest)) = self.fresh.split_first() {
                 self.fresh = rest;
                 self.before = Self::cut(self.tuples, rest);
-                return Some(f);
+                return Some(GkTuple {
+                    v: f.v,
+                    g: f.g,
+                    delta: f.delta,
+                });
             }
         }
         let (t, rest) = self.tuples.split_first()?;
         self.tuples = rest;
         self.before = self.before.saturating_sub(1);
-        Some(t)
+        Some(view(t))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -121,13 +190,18 @@ impl<'a, T: Ord> Iterator for Merged<'a, T> {
 pub(crate) struct TupleList<T> {
     /// Spliced tuples, sorted by value.
     tuples: Vec<GkTuple<T>>,
-    /// Pending inserts with their final Δ, sorted, equal values newest
-    /// first. Splices and merges also build their output in it, past the
-    /// run, so a summary carries one buffer (the adversary builds many).
+    /// Pending per-item inserts in arrival order, each with its arrival
+    /// index in `g` and the Δ it has if it landed inside the list.
+    /// Flushes and merges also build their output in it, past the
+    /// pending items, so a summary carries one buffer (the adversary
+    /// builds many).
     fresh: Vec<GkTuple<T>>,
     pub(crate) n: u64,
     pub(crate) eps: f64,
     pub(crate) compress_period: u64,
+    /// Inserts left until the next compress boundary, in
+    /// `1..=compress_period`.
+    until_compress: u64,
 }
 
 impl<T: Ord + Clone> TupleList<T> {
@@ -139,13 +213,21 @@ impl<T: Ord + Clone> TupleList<T> {
     }
 
     fn from_tuples(tuples: Vec<GkTuple<T>>, n: u64, eps: f64, compress_period: u64) -> Self {
-        TupleList {
+        let mut list = TupleList {
             tuples,
             fresh: Vec::new(),
             n,
             eps,
             compress_period,
-        }
+            until_compress: compress_period,
+        };
+        list.rearm();
+        list
+    }
+
+    /// Points the countdown at the next multiple of the period past `n`.
+    fn rearm(&mut self) {
+        self.until_compress = self.compress_period - self.n % self.compress_period;
     }
 
     /// Rebuilds a list from snapshot parts, or diagnoses a bad ε or period,
@@ -186,43 +268,59 @@ impl<T: Ord + Clone> TupleList<T> {
         (2.0 * self.eps * self.n as f64).floor() as u64
     }
 
-    /// Stored tuples, fresh run included.
+    /// Stored tuples, fresh buffer included.
     pub(crate) fn len(&self) -> usize {
         self.tuples.len() + self.fresh.len()
     }
 
-    /// The tuple vector with the fresh run spliced in, for COMPRESS.
+    /// The tuple vector with the fresh buffer flushed in, for COMPRESS.
     pub(crate) fn spliced(&mut self) -> &mut Vec<GkTuple<T>> {
-        self.splice();
+        self.flush_pending();
         &mut self.tuples
     }
 
-    /// Inserts one item into the fresh run; at a compress boundary the
-    /// run is spliced and `compress` runs.
+    /// Appends one item to the fresh buffer; at a compress boundary the
+    /// buffer is flushed and `compress` runs.
     pub(crate) fn push(&mut self, item: T, compress: impl FnOnce(&mut Vec<GkTuple<T>>, u64)) {
-        let at = self.fresh.partition_point(|t| t.v < item);
-        // Δ is ⌊2εn⌋ − 1 inside the logical list, 0 at either end and in
-        // the grace period; the tuples are consulted only at a run end.
-        let thr = self.threshold();
-        let exact = thr < 1
-            || (at == 0 && self.tuples.first().is_none_or(|t| item <= t.v))
-            || (at == self.fresh.len() && self.tuples.last().is_none_or(|t| t.v < item));
-        self.fresh.insert(at, arrival(item, thr, exact));
+        // Δ as if the item landed inside the list; a flush zeroes it if
+        // the item landed at an end.
+        let delta = self.threshold().saturating_sub(1);
+        let index = self.fresh.len() as u64;
+        self.fresh.push(GkTuple {
+            v: item,
+            g: index,
+            delta,
+        });
         self.n += 1;
-        let due = self.n.is_multiple_of(self.compress_period);
-        if due || self.fresh.len() >= FRESH_CAP {
-            self.splice();
-        }
-        if due {
+        self.until_compress -= 1;
+        if self.until_compress == 0 {
+            self.until_compress = self.compress_period;
+            self.flush_pending();
             let thr = self.threshold();
             compress(&mut self.tuples, thr);
+        } else if self.fresh.len() >= FRESH_CAP {
+            self.flush_pending();
         }
     }
 
-    /// Splices the fresh run in. A run in one gap (the adversary's) moves
-    /// the tail once. Otherwise tuples outside its span stay put, and the
-    /// span is copied past the run, interleaved with copies of the fresh
-    /// tuples at galloped positions, and goes back by one `Vec::splice`.
+    /// Sorts the fresh buffer once, settles it, and splices it into the
+    /// tuples.
+    fn flush_pending(&mut self) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        self.fresh.sort_unstable_by(newest_first);
+        let first = self.tuples.first().map(|t| &t.v);
+        let last = self.tuples.last().map(|t| &t.v);
+        settle(&mut self.fresh, first, last);
+        self.splice();
+    }
+
+    /// Splices the sorted fresh buffer in. A run in one gap (the
+    /// adversary's) moves the tail once. Otherwise tuples outside its span
+    /// stay put, and the span is copied past the run, interleaved with
+    /// copies of the fresh tuples at galloped positions, and goes back by
+    /// one `Vec::splice`.
     fn splice(&mut self) {
         let (Some(first), Some(last)) = (self.fresh.first(), self.fresh.last()) else {
             return;
@@ -248,9 +346,9 @@ impl<T: Ord + Clone> TupleList<T> {
         self.fresh.clear();
     }
 
-    /// Stages a sorted `chunk` in the empty fresh run as per-item inserts
-    /// would store it: equal items newest first, Δ = 0 with nothing below
-    /// or, for the first of a group, nothing at or above.
+    /// Stages a sorted `chunk` in the empty fresh buffer as per-item
+    /// inserts would store it: equal items newest first, Δ = 0 with
+    /// nothing below or, for the first of a group, nothing at or above.
     fn stage_sorted(&mut self, chunk: &[T]) {
         let Some(first) = chunk.first() else {
             return;
@@ -283,7 +381,7 @@ impl<T: Ord + Clone> TupleList<T> {
 
     /// Inserts a sorted run exactly as per-item inserts would, returning
     /// the largest stored count they would show; pieces cut at compress
-    /// boundaries and the run capacity are staged and spliced in turn.
+    /// boundaries and the buffer capacity are staged and spliced in turn.
     pub(crate) fn insert_sorted_run(
         &mut self,
         run: &[T],
@@ -293,16 +391,18 @@ impl<T: Ord + Clone> TupleList<T> {
             run.windows(2).all(|w| w.first() <= w.last()),
             "insert_sorted_run requires a non-decreasing run"
         );
-        self.splice();
+        self.flush_pending();
         let mut peak = 0usize;
         let mut rest = run;
         while !rest.is_empty() {
-            let until = (self.compress_period - self.n % self.compress_period) as usize;
+            let until = self.until_compress as usize;
             let (chunk, tail) = rest.split_at(until.min(FRESH_CAP).min(rest.len()));
             self.stage_sorted(chunk);
             self.splice();
+            self.until_compress -= chunk.len() as u64;
             let pre_compress = self.tuples.len();
-            if self.n.is_multiple_of(self.compress_period) {
+            if self.until_compress == 0 {
+                self.until_compress = self.compress_period;
                 let thr = self.threshold();
                 compress(&mut self.tuples, thr);
                 // Per-item callers poll |I| after each insert: they see at
@@ -333,7 +433,8 @@ impl<T: Ord + Clone> TupleList<T> {
     ///
     /// then `(g, Δ)` follow: error at most (ε_A + ε_B)·(n_A + n_B). Both
     /// branches adopt ε_A + ε_B and its period. One pass over running
-    /// `r_min` sums fills the emptied run buffer, which swaps in.
+    /// `r_min` sums fills the emptied fresh buffer, which swaps in;
+    /// `other`'s pending items are read through a settled sorted view.
     pub(crate) fn merge(&mut self, other: &Self, compress: impl FnOnce(&mut Vec<GkTuple<T>>, u64)) {
         if other.len() == 0 {
             return;
@@ -341,20 +442,22 @@ impl<T: Ord + Clone> TupleList<T> {
         self.eps = (self.eps + other.eps).min(0.499);
         self.compress_period = default_period(self.eps);
         if self.len() == 0 {
-            self.tuples = other.iter().cloned().collect();
+            self.tuples = other.tuples().into_owned();
             self.n = other.n;
+            self.rearm();
             return;
         }
-        self.splice();
+        self.flush_pending();
         let (na, nb) = (self.n, other.n);
         self.fresh.reserve(self.tuples.len() + other.len());
+        let pending = other.pending();
         let mut a = self.tuples.drain(..).peekable();
-        let mut b = other.iter().peekable();
+        let mut b = Merged::new(&other.tuples, &pending).peekable();
         // Running r_min of each side's consumed prefix and of the output.
         let (mut ra, mut rb, mut prev) = (0u64, 0u64, 0u64);
         loop {
             let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => x.v <= y.v,
+                (Some(x), Some(y)) => x.v <= *y.v,
                 (Some(_), None) => true,
                 (None, _) => false,
             };
@@ -373,7 +476,7 @@ impl<T: Ord + Clone> TupleList<T> {
                 let succ = a
                     .peek()
                     .map_or(na, |s| (ra + s.g + s.delta).saturating_sub(1));
-                (t.clone(), rb, ra, succ)
+                (owned(t), rb, ra, succ)
             };
             let r_min = (own + pred_min).max(prev);
             let r_max = (own + t.delta + succ_max).max(r_min);
@@ -388,6 +491,7 @@ impl<T: Ord + Clone> TupleList<T> {
         debug_assert_eq!(prev, na + nb, "merged rank mass mismatch");
         std::mem::swap(&mut self.tuples, &mut self.fresh);
         self.n = na + nb;
+        self.rearm();
         let thr = self.threshold();
         compress(&mut self.tuples, thr);
     }
@@ -412,29 +516,44 @@ impl<T: Ord + Clone> TupleList<T> {
         Ok(())
     }
 
-    fn iter(&self) -> Merged<'_, T> {
-        Merged::new(&self.tuples, &self.fresh)
+    /// The pending items as the logical list holds them: borrowed, then
+    /// sorted and settled as a flush would leave them. The sort moves
+    /// plain references, which costs less than moving the views.
+    fn pending(&self) -> Vec<GkTuple<&T>> {
+        let mut order: Vec<&GkTuple<T>> = self.fresh.iter().collect();
+        order.sort_unstable_by(|a, b| newest_first(a, b));
+        let mut run: Vec<GkTuple<&T>> = order.into_iter().map(view).collect();
+        let first = self.tuples.first().map(|t| &t.v);
+        let last = self.tuples.last().map(|t| &t.v);
+        settle(&mut run, first.as_ref(), last.as_ref());
+        run
     }
 
-    /// Visits the logical list until `f` breaks; a slice walk if no run.
+    /// Visits the logical list until `f` breaks; a slice walk if nothing
+    /// is pending.
     fn try_visit<'a, B>(
         &'a self,
-        f: impl FnMut(&'a GkTuple<T>) -> ControlFlow<B>,
+        f: impl FnMut(GkTuple<&'a T>) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         if self.fresh.is_empty() {
-            self.tuples.iter().try_for_each(f)
+            self.tuples.iter().map(view).try_for_each(f)
         } else {
-            self.iter().try_for_each(f)
+            let pending = self.pending();
+            Merged::new(&self.tuples, &pending).try_for_each(f)
         }
     }
 
-    /// The logical list, borrowed when no fresh run is pending.
+    /// The logical list, borrowed when nothing is pending.
     pub(crate) fn tuples(&self) -> Cow<'_, [GkTuple<T>]> {
         if self.fresh.is_empty() {
-            Cow::Borrowed(&self.tuples)
-        } else {
-            Cow::Owned(self.iter().cloned().collect())
+            return Cow::Borrowed(&self.tuples);
         }
+        let mut out = Vec::with_capacity(self.len());
+        let _ = self.try_visit(|t| {
+            out.push(owned(t));
+            ControlFlow::<()>::Continue(())
+        });
+        Cow::Owned(out)
     }
 
     /// The persistent state as `(tuples, n, eps, compress_period)`.
@@ -442,35 +561,34 @@ impl<T: Ord + Clone> TupleList<T> {
         (self.tuples(), self.n, self.eps, self.compress_period)
     }
 
-    /// The span invariant `g_i + Δ_i ≤ ⌊2εn⌋` (at least 1).
+    /// The span invariant `g_i + Δ_i ≤ ⌊2εn⌋` (at least 1). A pending
+    /// item's `g` is 1, so its test is `Δ < cap`; settling only lowers Δ.
     pub(crate) fn invariant_holds(&self) -> bool {
         let cap = self.threshold().max(1);
-        self.tuples
-            .iter()
-            .chain(&self.fresh)
-            .all(|t| t.g + t.delta <= cap)
+        self.tuples.iter().all(|t| t.g + t.delta <= cap) && self.fresh.iter().all(|t| t.delta < cap)
     }
 
     /// Visits the stored items in order.
     pub(crate) fn for_each_item(&self, f: &mut dyn FnMut(&T)) {
         let _ = self.try_visit(|t| {
-            f(&t.v);
+            f(t.v);
             ControlFlow::<()>::Continue(())
         });
     }
 
     /// The stored items in order.
     pub(crate) fn item_array(&self) -> Vec<T> {
-        if self.fresh.is_empty() {
-            self.tuples.iter().map(|t| t.v.clone()).collect()
-        } else {
-            self.iter().map(|t| t.v.clone()).collect()
-        }
+        let mut out = Vec::with_capacity(self.len());
+        let _ = self.try_visit(|t| {
+            out.push(t.v.clone());
+            ControlFlow::<()>::Continue(())
+        });
+        out
     }
 
     /// Visits the stored items strictly between `lo` and `hi`. Bounds are
     /// found by partition scans, so the visit itself compares nothing
-    /// when no fresh run is pending (the adversary's gap scan).
+    /// when nothing is pending (the adversary's gap scan).
     pub(crate) fn for_each_item_between(
         &self,
         lo: Option<&T>,
@@ -478,11 +596,12 @@ impl<T: Ord + Clone> TupleList<T> {
         f: &mut dyn FnMut(&T),
     ) {
         let ts = between(&self.tuples, lo, hi);
-        let fs = between(&self.fresh, lo, hi);
-        if fs.is_empty() {
+        if self.fresh.is_empty() {
             ts.iter().for_each(|t| f(&t.v));
         } else {
-            Merged::new(ts, fs).for_each(|t| f(&t.v));
+            let pending = self.pending();
+            let fs = between(&pending, lo.as_ref(), hi.as_ref());
+            Merged::new(ts, fs).for_each(|t| f(t.v));
         }
     }
 
@@ -497,11 +616,12 @@ impl<T: Ord + Clone> TupleList<T> {
         lend: &mut dyn FnMut(&[&T]),
     ) {
         let ts = between(&self.tuples, lo, hi);
-        let fs = between(&self.fresh, lo, hi);
-        let lent: Vec<&T> = if fs.is_empty() {
+        let lent: Vec<&T> = if self.fresh.is_empty() {
             ts.iter().map(|t| &t.v).collect()
         } else {
-            Merged::new(ts, fs).map(|t| &t.v).collect()
+            let pending = self.pending();
+            let fs = between(&pending, lo.as_ref(), hi.as_ref());
+            Merged::new(ts, fs).map(|t| t.v).collect()
         };
         lend(&lent);
     }
@@ -514,17 +634,17 @@ impl<T: Ord + Clone> TupleList<T> {
         }
         let r = r.clamp(1, self.n);
         let mut r_min = 0u64;
-        let mut best: Option<(&GkTuple<T>, u64)> = None;
+        let mut best: Option<(&T, u64)> = None;
         let _ = self.try_visit(|t| {
             r_min += t.g;
             let r_max = r_min + t.delta;
             let dev = (r_min.abs_diff(r)).max(r_max.abs_diff(r));
             if best.is_none_or(|(_, d)| dev < d) {
-                best = Some((t, dev));
+                best = Some((t.v, dev));
             }
             ControlFlow::<()>::Continue(())
         });
-        best.map(|(t, _)| t.v.clone())
+        best.map(|(v, _)| v.clone())
     }
 
     /// The midpoint rank estimator `(r_min(i) + r_max(i+1) − 1)/2` for
@@ -550,7 +670,7 @@ impl<T: Ord + Clone> TupleList<T> {
         let mut last_le = None;
         self.try_visit(|t| {
             r_min += t.g;
-            if t.v <= *q {
+            if t.v <= q {
                 last_le = Some(r_min);
                 return ControlFlow::Continue(());
             }
@@ -564,7 +684,7 @@ impl<T: Ord + Clone> TupleList<T> {
 }
 
 /// The tuples of sorted `ts` strictly between `lo` and `hi`.
-fn between<'a, T: Ord>(ts: &'a [GkTuple<T>], lo: Option<&T>, hi: Option<&T>) -> &'a [GkTuple<T>] {
+fn between<'a, U: Ord>(ts: &'a [GkTuple<U>], lo: Option<&U>, hi: Option<&U>) -> &'a [GkTuple<U>] {
     let ts = lo.map_or(ts, |lo| {
         ts.get(ts.partition_point(|t| &t.v <= lo)..)
             .unwrap_or_default()

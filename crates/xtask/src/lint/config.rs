@@ -135,6 +135,9 @@ pub const HOT_PATH_FNS: &[&str] = &[
     // The summaries' clone-free read: both per-leaf audits borrow every
     // stored item through it.
     "with_items_between",
+    // GK's per-period sort and splice of the inserts buffered in arrival
+    // order: every per-item insert pays a share of it.
+    "flush_pending",
 ];
 
 /// Entry points of the panic-free adversary driver — the *roots* of the
@@ -329,6 +332,7 @@ mod tests {
             "multi_tag_of",
             "multi_locate",
             "with_items_between",
+            "flush_pending",
         ] {
             assert!(HOT_PATH_FNS.contains(&f), "{f} missing from hot-path roots");
         }

@@ -2,9 +2,9 @@
 //! (the GK one-pass sorted-run merge and the adversary's batched leaves
 //! in `Adversary::run`) must be *observationally identical* to the
 //! per-item paths they replace — same tuples, same audit trail, byte for
-//! byte. GK's per-item path holds a pending fresh run between splices
-//! and its sorted-run path never does, so comparing the two also pins
-//! every reader over a pending run to the spliced list.
+//! byte. GK's per-item path holds pending inserts in its fresh buffer
+//! between flushes and its sorted-run path never does, so comparing the
+//! two also pins every reader over pending inserts to the flushed list.
 
 use cqs::prelude::*;
 use cqs_core::adversary::Adversary;

@@ -106,6 +106,16 @@ fn golden_fixtures_still_restore() {
 }
 
 #[test]
+fn gk_fixture_reencodes_byte_identically() {
+    // The fixture is taken with inserts pending (64 is not a multiple of
+    // the period 5), so it also pins what a snapshot of the fresh buffer
+    // holds: a restored summary writes the same bytes back.
+    let bytes = std::fs::read(golden_path("gk_v1")).expect("gk_v1 fixture");
+    let gk = GkSummary::<u64>::from_snapshot_bytes(&bytes).expect("gk_v1 must restore");
+    assert_eq!(gk.to_snapshot_bytes(), bytes);
+}
+
+#[test]
 fn golden_fixtures_carry_the_current_header() {
     // Every fixture opens with the magic and the version this build
     // writes; a bumped VERSION with stale fixtures fails here first

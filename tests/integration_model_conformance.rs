@@ -175,8 +175,8 @@ fn check_lend<S: ComparisonSummary<u64>>(s: &S, n: u64, name: &str) {
 fn lent_items_match_visited_items_for_all_summaries() {
     let xs = shuffled(5_100, 0x1e4d);
     // Checked after every prefix length here. At 5 100 items GK's
-    // per-item inserts since the last splice (at 5 000, a compress
-    // boundary of ε = 0.001) are still pending in its fresh run.
+    // per-item inserts since the last flush (at 5 000, a compress
+    // boundary of ε = 0.001) are still pending in its fresh buffer.
     let checkpoints = [1usize, 37, 5_000, 5_100];
     macro_rules! check_lending {
         ($make:expr, $name:expr) => {{
@@ -195,12 +195,12 @@ fn lent_items_match_visited_items_for_all_summaries() {
     let gk = check_lending!(GkSummary::new(0.001), "gk");
     assert!(
         matches!(gk.tuples(), std::borrow::Cow::Owned(_)),
-        "gk: no fresh run pending at the last checkpoint"
+        "gk: no insert pending at the last checkpoint"
     );
     let greedy = check_lending!(GreedyGk::new(0.001), "gk-greedy");
     assert!(
         matches!(greedy.tuples(), std::borrow::Cow::Owned(_)),
-        "gk-greedy: no fresh run pending at the last checkpoint"
+        "gk-greedy: no insert pending at the last checkpoint"
     );
     check_lending!(GkSummary::new(0.02), "gk-eps-0.02");
     check_lending!(CappedGk::new(0.001, 400), "gk-capped");
