@@ -142,6 +142,15 @@ pub trait ComparisonSummary<T: Ord + Clone> {
         self.query_rank(r)
     }
 
+    /// Answers the quantile query of every ϕ in `phis` into `out`, which
+    /// is cleared first: `out[i]` is `quantile(phis[i])`. The default
+    /// reads per ϕ; summaries whose reads walk a sorted list override it
+    /// to answer a whole grid in one walk, with the same answers.
+    fn quantiles(&self, phis: &[f64], out: &mut Vec<Option<T>>) {
+        out.clear();
+        out.extend(phis.iter().map(|&phi| self.quantile(phi)));
+    }
+
     /// A human-readable algorithm name for reports.
     fn name(&self) -> &'static str {
         "summary"
@@ -239,6 +248,10 @@ impl<T: Ord + Clone, S: ComparisonSummary<T>> ComparisonSummary<T> for MaxSpaceT
 
     fn query_rank(&self, r: u64) -> Option<T> {
         self.inner.query_rank(r)
+    }
+
+    fn quantiles(&self, phis: &[f64], out: &mut Vec<Option<T>>) {
+        self.inner.quantiles(phis, out)
     }
 
     fn name(&self) -> &'static str {

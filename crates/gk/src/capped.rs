@@ -98,6 +98,10 @@ impl<T: Ord + Clone> ComparisonSummary<T> for CappedGk<T> {
         self.inner.query_rank(r)
     }
 
+    fn quantiles(&self, phis: &[f64], out: &mut Vec<Option<T>>) {
+        self.inner.quantiles(phis, out)
+    }
+
     fn name(&self) -> &'static str {
         "gk-capped"
     }

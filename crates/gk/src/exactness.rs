@@ -18,6 +18,8 @@ mod tests {
     use cqs_core::{ComparisonSummary, RankEstimator};
 
     use crate::tuple::{default_period, GkTuple, TupleList};
+    use cqs_core::MaxSpaceTracker;
+
     use crate::{greedy, summary, CappedGk, GkSummary, GreedyGk};
 
     /// A COMPRESS over a tuple vector at a threshold.
@@ -232,7 +234,7 @@ mod tests {
         for r in (0..=oracle.n + 1).step_by(oracle.n as usize / 11 + 1) {
             assert_eq!(
                 s.query_rank(r),
-                reference.query_rank(r),
+                reference.query_rank_walking_every_tuple(r),
                 "{label}: rank {r}"
             );
         }
@@ -507,5 +509,174 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// φ grids: the export grid, the ends, repeats, one φ, none, φ out
+    /// of range or NaN (target rank 1 or n), unsorted grids, and fine
+    /// grids at and past the one-walk limit of 32 targets.
+    fn grids() -> Vec<Vec<f64>> {
+        let fine = |k: u32| (0..k).map(|i| f64::from(i) / f64::from(k - 1)).collect();
+        vec![
+            vec![
+                0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999,
+            ],
+            vec![0.0, 1.0],
+            vec![0.0, 0.0, 0.5, 0.5, 1.0, 1.0],
+            vec![0.5],
+            vec![],
+            vec![-1.0, f64::NAN, 2.0],
+            vec![0.9, 0.1, 0.5],
+            vec![1.0, 0.0],
+            fine(32),
+            fine(33),
+        ]
+    }
+
+    /// `quantiles` answers every grid as per-φ `quantile` does, and
+    /// replaces what `out` held.
+    fn assert_grids_match<S: ComparisonSummary<u64>>(s: &S, label: &str) {
+        let mut out = vec![Some(u64::MAX)];
+        for phis in grids() {
+            s.quantiles(&phis, &mut out);
+            let want: Vec<Option<u64>> = phis.iter().map(|&phi| s.quantile(phi)).collect();
+            assert_eq!(out, want, "{label}: grid {phis:?}");
+        }
+    }
+
+    /// Grid reads after every insert of short streams (n below the grid
+    /// lengths included) and every few inserts of longer ones, so with
+    /// every fill level of the pending buffer, then on a restored copy.
+    fn grid_reads<S: ComparisonSummary<u64>>(make: impl Fn(f64) -> S, name: &str) {
+        let mut rng = SplitMix64::new(0x9e1d);
+        for eps in [0.1, 0.01] {
+            assert_grids_match(&make(eps), &format!("{name}/empty"));
+            for n in [5, 40, 1500] {
+                for (shape, xs) in streams(n, &mut rng) {
+                    let mut s = make(eps);
+                    for (i, &x) in xs.iter().enumerate() {
+                        s.insert(x);
+                        if n <= 40 || i % 37 == 0 {
+                            assert_grids_match(&s, &format!("{name}/{shape}/eps {eps} @ {i}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_reads_match_per_phi_reads() {
+        grid_reads(GkSummary::new, "gk");
+        grid_reads(GreedyGk::new, "gk-greedy");
+        grid_reads(|eps| CappedGk::new(eps, 16), "gk-capped 16");
+        grid_reads(
+            |eps| MaxSpaceTracker::new(GkSummary::new(eps)),
+            "tracked gk",
+        );
+    }
+
+    /// Restored snapshots, taken with inserts pending, answer grids as
+    /// the summary they came from does.
+    fn restored_grid_reads<S: Variant>(name: &str) {
+        let mut rng = SplitMix64::new(0x5e57);
+        for eps in [0.1, 0.004] {
+            for (shape, xs) in streams(777, &mut rng) {
+                let mut s = S::make(eps);
+                xs.iter().for_each(|&x| s.insert(x));
+                let parts = s.parts();
+                let restored = S::restore((parts.0.into_owned(), parts.1, parts.2, parts.3));
+                let label = format!("{name}/{shape}/eps {eps}/restored");
+                assert_grids_match(&restored, &label);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for phis in grids() {
+                    s.quantiles(&phis, &mut a);
+                    restored.quantiles(&phis, &mut b);
+                    assert_eq!(a, b, "{label}: grid {phis:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restored_snapshots_answer_grids_alike() {
+        restored_grid_reads::<GkSummary<u64>>("gk");
+        restored_grid_reads::<GreedyGk<u64>>("gk-greedy");
+    }
+
+    /// Folds of 2–8 shards, fed duplicate-heavy draws with inserts left
+    /// pending on every shard, answer grids as per-φ reads do, and rank
+    /// reads as the full walk does. Each fold is taken twice: by the
+    /// variant's merge, and by list merges with COMPRESS left out, into
+    /// which tuples with g = 0 are then spliced (a merge of shard lists
+    /// never makes one, since each side's g ≥ 1 makes r_min rise, but a
+    /// snapshot may hold them): a copy with g = 0 and a random Δ beside
+    /// every third tuple, so r_min stalls before and after a tuple.
+    fn fold_grid_reads<S: Variant>(name: &str) {
+        let mut rng = SplitMix64::new(0xf01d);
+        for eps in [0.02, 0.005] {
+            for shards in 2..=8 {
+                for range in [3, 40, 5000] {
+                    let mut fold: Option<S> = None;
+                    let mut raw: Option<TupleList<u64>> = None;
+                    for _ in 0..shards {
+                        let mut s = S::make(eps);
+                        for _ in 0..(50 + rng.below(400)) {
+                            s.insert(rng.below(range));
+                        }
+                        let (ts, n, e, period) = s.parts();
+                        let list = TupleList::from_parts(ts.into_owned(), n, e, period)
+                            .expect("valid parts");
+                        match raw.as_mut() {
+                            None => raw = Some(list),
+                            Some(r) => r.merge(&list, |_, _| {}),
+                        }
+                        match fold.as_mut() {
+                            None => fold = Some(s),
+                            Some(f) => f.merge_in(&s),
+                        }
+                    }
+                    let (Some(fold), Some(raw)) = (fold, raw) else {
+                        continue;
+                    };
+                    let label = format!("{name}/{shards} shards below {range}/eps {eps}");
+                    let (ts, n, e, period) = raw.snapshot_parts();
+                    let cap = ((2.0 * e * n as f64).floor() as u64).max(1);
+                    let mut stalled = Vec::new();
+                    for (i, t) in ts.iter().enumerate() {
+                        let zero = GkTuple {
+                            v: t.v,
+                            g: 0,
+                            delta: rng.below(cap + 1),
+                        };
+                        match i % 3 {
+                            1 => stalled.extend([t.clone(), zero]),
+                            2 => stalled.extend([zero, t.clone()]),
+                            _ => stalled.push(t.clone()),
+                        }
+                    }
+                    let uncompressed = S::restore((stalled, n, e, period));
+                    for (s, how) in [(&fold, "merged"), (&uncompressed, "with g = 0")] {
+                        assert_grids_match(s, &format!("{label}/{how}"));
+                        let (ts, n, e, period) = s.parts();
+                        let list = TupleList::from_parts(ts.into_owned(), n, e, period)
+                            .expect("a fold keeps the invariant");
+                        let ranks = (0..=n + 1).step_by(n as usize / 97 + 1);
+                        for r in ranks.chain([n, n + 1]) {
+                            assert_eq!(
+                                s.query_rank(r),
+                                list.query_rank_walking_every_tuple(r),
+                                "{label}/{how}: rank {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_grid_reads_match_per_phi_reads() {
+        fold_grid_reads::<GkSummary<u64>>("gk");
+        fold_grid_reads::<GreedyGk<u64>>("gk-greedy");
     }
 }

@@ -156,6 +156,10 @@ impl<T: Ord + Clone> ComparisonSummary<T> for GreedyGk<T> {
         self.list.query_rank(r)
     }
 
+    fn quantiles(&self, phis: &[f64], out: &mut Vec<Option<T>>) {
+        self.list.quantiles(phis, out)
+    }
+
     fn name(&self) -> &'static str {
         "gk-greedy"
     }

@@ -34,6 +34,14 @@ use cqs_core::MergeError;
 /// largest piece of a sorted run staged at once.
 const FRESH_CAP: usize = 1024;
 
+/// The longest φ grid a batched read answers in one walk; a longer one
+/// is read per φ.
+const MAX_TARGETS: usize = 32;
+
+/// A read's answer to one rank target: the item, and its deviation
+/// max(|r_min − r|, |r_max − r|) from the target.
+type Nearest<'a, T> = Option<(&'a T, u64)>;
+
 /// One stored tuple of a GK-family summary.
 ///
 /// * `v` — a stored stream item;
@@ -433,8 +441,9 @@ impl<T: Ord + Clone> TupleList<T> {
     ///
     /// then `(g, Δ)` follow: error at most (ε_A + ε_B)·(n_A + n_B). Both
     /// branches adopt ε_A + ε_B and its period. One pass over running
-    /// `r_min` sums fills the emptied fresh buffer, which swaps in;
-    /// `other`'s pending items are read through a settled sorted view.
+    /// `r_min` sums fills the emptied fresh buffer, which swaps in. The
+    /// other side is read as a slice of its logical list: its own tuples,
+    /// or a sorted and settled copy when it has inserts pending.
     pub(crate) fn merge(&mut self, other: &Self, compress: impl FnOnce(&mut Vec<GkTuple<T>>, u64)) {
         if other.len() == 0 {
             return;
@@ -449,43 +458,50 @@ impl<T: Ord + Clone> TupleList<T> {
         }
         self.flush_pending();
         let (na, nb) = (self.n, other.n);
-        self.fresh.reserve(self.tuples.len() + other.len());
-        let pending = other.pending();
-        let mut a = self.tuples.drain(..).peekable();
-        let mut b = Merged::new(&other.tuples, &pending).peekable();
+        let theirs = other.tuples();
+        // The emptied buffer is replaced, not grown: a reallocation would
+        // copy its stale contents.
+        let need = self.tuples.len() + theirs.len();
+        if self.fresh.capacity() < need {
+            self.fresh = Vec::with_capacity(need);
+        }
+        let mut a = self.tuples.drain(..);
+        let mut b = theirs.iter();
         // Running r_min of each side's consumed prefix and of the output.
         let (mut ra, mut rb, mut prev) = (0u64, 0u64, 0u64);
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => x.v <= *y.v,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            // Own r_min, then the other side's r_min at the predecessor and
-            // r_max at the successor (its length past its end).
-            let (t, own, pred_min, succ_max) = if take_a {
-                let Some(t) = a.next() else { break };
-                ra += t.g;
-                let succ = b
-                    .peek()
-                    .map_or(nb, |s| (rb + s.g + s.delta).saturating_sub(1));
-                (t, ra, rb, succ)
-            } else {
-                let Some(t) = b.next() else { break };
-                rb += t.g;
-                let succ = a
-                    .peek()
-                    .map_or(na, |s| (ra + s.g + s.delta).saturating_sub(1));
-                (owned(t), rb, ra, succ)
-            };
+        let mut emit = |v: T, own: u64, delta: u64, pred_min: u64, succ_max: u64| {
             let r_min = (own + pred_min).max(prev);
-            let r_max = (own + t.delta + succ_max).max(r_min);
+            let r_max = (own + delta + succ_max).max(r_min);
             self.fresh.push(GkTuple {
-                v: t.v,
+                v,
                 g: r_min - prev,
                 delta: r_max - r_min,
             });
             prev = r_min;
+        };
+        // Own r_min, then the other side's r_min at the predecessor and
+        // r_max at the successor (its length past its end).
+        let succ_max = |r: u64, s: Option<&GkTuple<T>>, n: u64| {
+            s.map_or(n, |s| (r + s.g + s.delta).saturating_sub(1))
+        };
+        while let Some(x) = a.as_slice().first() {
+            match b.as_slice().first() {
+                Some(y) if y.v < x.v => {
+                    rb += y.g;
+                    emit(y.v.clone(), rb, y.delta, ra, succ_max(ra, Some(x), na));
+                    b.next();
+                }
+                next_b => {
+                    let succ = succ_max(rb, next_b, nb);
+                    let Some(t) = a.next() else { break };
+                    ra += t.g;
+                    emit(t.v, ra, t.delta, rb, succ);
+                }
+            }
+        }
+        for y in b {
+            rb += y.g;
+            emit(y.v.clone(), rb, y.delta, ra, na);
         }
         drop(a);
         debug_assert_eq!(prev, na + nb, "merged rank mass mismatch");
@@ -626,10 +642,69 @@ impl<T: Ord + Clone> TupleList<T> {
         lend(&lent);
     }
 
-    /// The item minimising max(|r_min − r|, |r_max − r|); by the GK
-    /// invariant some tuple, hence the best, deviates by at most ⌈εn⌉.
+    /// The item minimising max(|r_min − r|, |r_max − r|), the first such
+    /// in list order; by the GK invariant some tuple, hence the best,
+    /// deviates by at most ⌈εn⌉. The one-target case of
+    /// [`nearest`](Self::nearest).
     pub(crate) fn query_rank(&self, r: u64) -> Option<T> {
-        if self.len() == 0 {
+        if self.len() == 0 || self.n == 0 {
+            return None;
+        }
+        let mut best = [None];
+        self.nearest(&[r.clamp(1, self.n)], &mut best);
+        best.into_iter().flatten().next().map(|(v, _)| v.clone())
+    }
+
+    /// The φ-quantiles of `phis` into `out` (cleared first), each as
+    /// [`query_rank`](Self::query_rank) answers its target
+    /// `clamp(⌊φn⌋, 1, n)`. The pending inserts are sorted once, and a
+    /// grid whose targets do not decrease is answered in one walk; an
+    /// unsorted grid, or one of more than `MAX_TARGETS`, is read per φ.
+    pub(crate) fn quantiles(&self, phis: &[f64], out: &mut Vec<Option<T>>) {
+        out.clear();
+        if self.len() == 0 || self.n == 0 || phis.is_empty() {
+            out.resize(phis.len(), None);
+            return;
+        }
+        let n = self.n;
+        let target = |phi: f64| ((phi * n as f64).floor() as u64).clamp(1, n);
+        let mut ranks = [0u64; MAX_TARGETS];
+        let grid = ranks.get_mut(..phis.len()).unwrap_or_default();
+        for (r, &phi) in grid.iter_mut().zip(phis) {
+            *r = target(phi);
+        }
+        let sorted = grid.windows(2).all(|w| w.first() <= w.last());
+        if grid.len() < phis.len() || !sorted {
+            out.extend(phis.iter().map(|&phi| self.query_rank(target(phi))));
+            return;
+        }
+        let mut best = [None; MAX_TARGETS];
+        self.nearest(grid, &mut best);
+        out.extend(
+            best.iter()
+                .take(grid.len())
+                .map(|b| b.map(|(v, _)| v.clone())),
+        );
+    }
+
+    /// For each target of the non-decreasing `ranks`, the first tuple of
+    /// the logical list minimising max(|r_min − r|, |r_max − r|), with
+    /// that deviation: [`nearest_in`] over the tuples, or over the merge
+    /// of the tuples with the pending inserts, sorted and settled once.
+    fn nearest<'a>(&'a self, ranks: &[u64], best: &mut [Nearest<'a, T>]) {
+        if self.fresh.is_empty() {
+            nearest_in(self.tuples.iter().map(view), ranks, best);
+        } else {
+            let pending = self.pending();
+            nearest_in(Merged::new(&self.tuples, &pending), ranks, best);
+        }
+    }
+
+    /// The rank query before [`nearest`](Self::nearest): scores every
+    /// tuple of the logical list. The test oracle of the early-exit walk.
+    #[cfg(test)]
+    pub(crate) fn query_rank_walking_every_tuple(&self, r: u64) -> Option<T> {
+        if self.len() == 0 || self.n == 0 {
             return None;
         }
         let r = r.clamp(1, self.n);
@@ -680,6 +755,70 @@ impl<T: Ord + Clone> TupleList<T> {
             )
         })
         .map_continue(|()| last_le.unwrap_or(0))
+    }
+}
+
+/// For each target of the non-decreasing `ranks`, the first tuple of
+/// `list` minimising max(|r_min − r|, |r_max − r|) and that deviation,
+/// in one walk that stops as soon as no later tuple can change an answer.
+///
+/// A target is *touched* by the first tuple whose r_max reaches it.
+/// Every tuple before falls short of it and deviates by r − r_min, so its
+/// best answer so far is the first tuple with the largest r_min seen:
+/// one `lead` that all untouched targets share. A touched target is
+/// scored tuple by tuple until it is *finished*, once r_min − r exceeds
+/// its best deviation: r_min never falls, so no later tuple beats it.
+/// The walk stops when every target is finished.
+fn nearest_in<'a, T: 'a>(
+    list: impl Iterator<Item = GkTuple<&'a T>>,
+    ranks: &[u64],
+    best: &mut [Nearest<'a, T>],
+) {
+    let behind = |lead: Nearest<'a, T>, r: u64| lead.map(|(v, m)| (v, r.abs_diff(m)));
+    let mut r_min = 0u64;
+    // The first tuple with the largest r_min so far, with that r_min.
+    let mut lead: Nearest<'a, T> = None;
+    let (mut touched, mut finished) = (0, 0);
+    let mut next = ranks.first().copied().unwrap_or(u64::MAX);
+    for t in list {
+        r_min += t.g;
+        let r_max = r_min + t.delta;
+        if next <= r_max {
+            while let Some((&r, b)) = ranks.get(touched).zip(best.get_mut(touched)) {
+                if r > r_max {
+                    break;
+                }
+                *b = behind(lead, r);
+                touched += 1;
+            }
+            next = ranks.get(touched).copied().unwrap_or(u64::MAX);
+        }
+        if finished < touched {
+            let live = ranks.iter().zip(best.iter_mut()).take(touched);
+            for (&r, b) in live.skip(finished) {
+                let dev = r_min.abs_diff(r).max(r_max.abs_diff(r));
+                if b.is_none_or(|(_, d)| dev < d) {
+                    *b = Some((t.v, dev));
+                }
+            }
+            while finished < touched
+                && ranks
+                    .get(finished)
+                    .zip(best.get(finished))
+                    .is_some_and(|(&r, b)| b.is_some_and(|(_, d)| r_min.saturating_sub(r) > d))
+            {
+                finished += 1;
+            }
+            if finished == ranks.len() {
+                return;
+            }
+        }
+        if lead.is_none_or(|(_, m)| m < r_min) {
+            lead = Some((t.v, r_min));
+        }
+    }
+    for (&r, b) in ranks.iter().zip(best.iter_mut()).skip(touched) {
+        *b = behind(lead, r);
     }
 }
 
@@ -744,5 +883,65 @@ mod tests {
             assert_eq!(gallop(&ts.tuples, &x), want, "x = {x}");
         }
         assert_eq!(gallop::<u64>(&[], &7), 0);
+    }
+
+    /// Random lists, g = 0 and wide Δ included, some with inserts
+    /// pending: the early-exit walk answers every rank, 0 and past n
+    /// included, as the full walk does, and a sorted batch of targets as
+    /// one-target walks do.
+    #[test]
+    fn early_exit_walk_matches_the_full_walk() {
+        let mut rng = cqs_core::SplitMix64::new(0x7a1c);
+        let mut lists = 0;
+        for round in 0..800u64 {
+            let eps = [0.3, 0.1, 0.02][round as usize % 3];
+            let mut vs: Vec<u64> = (0..rng.below(60)).map(|_| rng.below(40)).collect();
+            vs.sort_unstable();
+            let gs: Vec<u64> = vs.iter().map(|_| rng.below(3)).collect();
+            let n: u64 = gs.iter().sum();
+            let cap = ((2.0 * eps * n as f64).floor() as u64).max(1);
+            let ts = vs
+                .iter()
+                .zip(&gs)
+                .map(|(&v, &g)| GkTuple {
+                    v,
+                    g,
+                    delta: rng.below(cap.saturating_sub(g) + 1),
+                })
+                .collect();
+            let Ok(mut list) = TupleList::from_parts(ts, n, eps, 7) else {
+                continue;
+            };
+            for _ in 0..rng.below(4) {
+                list.push(rng.below(40), |_, _| {});
+            }
+            lists += 1;
+            let n = list.n;
+            for r in 0..=n + 1 {
+                assert_eq!(
+                    list.query_rank(r),
+                    list.query_rank_walking_every_tuple(r),
+                    "round {round}: rank {r}"
+                );
+            }
+            if n == 0 {
+                continue;
+            }
+            let mut ranks: Vec<u64> = (0..1 + rng.below(MAX_TARGETS as u64))
+                .map(|_| 1 + rng.below(n))
+                .collect();
+            ranks.sort_unstable();
+            let mut best = [None; MAX_TARGETS];
+            list.nearest(&ranks, &mut best);
+            for (&r, b) in ranks.iter().zip(&best) {
+                let got = b.map(|(v, _)| *v);
+                assert_eq!(
+                    got,
+                    list.query_rank(r),
+                    "round {round}: target {r} of {ranks:?}"
+                );
+            }
+        }
+        assert!(lists > 500, "only {lists} valid lists");
     }
 }

@@ -130,15 +130,14 @@ where
     pub fn export_quantiles(&self, phis: &[f64]) -> Result<QuantileExport<T>, MergeError> {
         let mut keys = Vec::new();
         for slot in self.slots_sorted() {
-            let folded = slot.fold::<T>()?;
-            let (n, eps_bound, values) = match &folded {
-                Some(s) => (
-                    s.items_processed(),
-                    s.eps_bound(),
-                    phis.iter().map(|&phi| s.quantile(phi)).collect(),
-                ),
+            let (n, eps_bound, values) = slot.with_fold::<T, _>(|folded| match folded {
+                Some(s) => {
+                    let mut values = Vec::with_capacity(phis.len());
+                    s.quantiles(phis, &mut values);
+                    (s.items_processed(), s.eps_bound(), values)
+                }
                 None => (0, None, vec![None; phis.len()]),
-            };
+            })?;
             keys.push(KeyQuantiles {
                 key: slot.key().to_string(),
                 n,

@@ -156,25 +156,37 @@ impl<S> KeySlot<S> {
         self.shards.iter().map(|s| lock(s).items_processed()).sum()
     }
 
-    /// Folds all non-empty shards, in shard order, into one summary.
+    /// Runs `f` on the fold of all non-empty shards, borrowed from the
+    /// fold cache under its lock; `None` while every shard is empty.
     ///
-    /// Always folds *from scratch* (never into a persistent
-    /// accumulator), so the composed ε is bounded by the number of
-    /// non-empty shards times the per-shard ε₀ regardless of how many
-    /// folds have run. The result is cached under the slot version; a
-    /// fold that observes an unchanged version is a cache clone.
-    pub(crate) fn fold<T>(&self) -> Result<Option<S>, MergeError>
+    /// The cache is valid for the slot version it was folded at. When the
+    /// version has moved on, the shards are folded again *from scratch*
+    /// (never into a persistent accumulator), so the composed ε stays
+    /// bounded by the number of non-empty shards times the per-shard ε₀
+    /// however many folds have run. The new fold moves into the cache,
+    /// and `f` reads it there: a refold clones only the shard it starts
+    /// from, and a fold that finds the version unchanged clones nothing.
+    pub(crate) fn with_fold<T, R>(&self, f: impl FnOnce(Option<&S>) -> R) -> Result<R, MergeError>
     where
         T: Ord + Clone,
         S: MergeableSummary<T> + Clone,
     {
         let stamp = self.version.load(Ordering::Acquire);
-        {
-            let cache = lock(&self.merged);
-            if cache.at_version == stamp {
-                return Ok(cache.summary.clone());
-            }
+        let mut cache = lock(&self.merged);
+        if cache.at_version != stamp {
+            cache.summary = self.fold_shards::<T>()?;
+            cache.at_version = stamp;
+            self.runs_since_fold.store(0, Ordering::Release);
         }
+        Ok(f(cache.summary.as_ref()))
+    }
+
+    /// Folds all non-empty shards, in shard order, into one summary.
+    fn fold_shards<T>(&self) -> Result<Option<S>, MergeError>
+    where
+        T: Ord + Clone,
+        S: MergeableSummary<T> + Clone,
+    {
         let mut acc: Option<S> = None;
         for shard in self.shards.iter() {
             let guard = lock(shard);
@@ -186,10 +198,6 @@ impl<S> KeySlot<S> {
                 Some(folded) => folded.try_merge(&guard)?,
             }
         }
-        self.runs_since_fold.store(0, Ordering::Release);
-        let mut cache = lock(&self.merged);
-        cache.summary = acc.clone();
-        cache.at_version = stamp;
         Ok(acc)
     }
 }
@@ -341,7 +349,7 @@ where
         let stripe = &self.inner.stripes[stripe_of(key, self.inner.stripes.len())];
         let slot = { lock(stripe).get(key).cloned() };
         match slot {
-            Some(slot) => slot.fold::<T>(),
+            Some(slot) => slot.with_fold::<T, _>(|s| s.cloned()),
             None => Ok(None),
         }
     }
@@ -428,21 +436,24 @@ where
     T: Ord + Clone,
     S: MergeableSummary<T> + Clone,
 {
-    /// Folds all shards into one summary (cached per slot version);
+    /// A copy of the fold of all shards (cached per slot version);
     /// `Ok(None)` while the key has seen no items.
     pub fn folded(&self) -> Result<Option<S>, MergeError> {
-        self.slot.fold::<T>()
+        self.slot.with_fold::<T, _>(|s| s.cloned())
     }
 
-    /// The φ-quantile of everything recorded under this key.
+    /// The φ-quantile of everything recorded under this key, read from
+    /// the cached fold without copying it.
     pub fn quantile(&self, phi: f64) -> Result<Option<T>, MergeError> {
-        Ok(self.folded()?.and_then(|s| s.quantile(phi)))
+        self.slot
+            .with_fold::<T, _>(|s| s.and_then(|s| s.quantile(phi)))
     }
 
     /// The composed worst-case ε after folding, or `None` when the key
     /// is empty or the summary's guarantee is probabilistic.
     pub fn composed_eps(&self) -> Result<Option<f64>, MergeError> {
-        Ok(self.folded()?.and_then(|s| s.eps_bound()))
+        self.slot
+            .with_fold::<T, _>(|s| s.and_then(|s| s.eps_bound()))
     }
 }
 
@@ -534,5 +545,101 @@ mod tests {
         assert!(reg.folded("missing").expect("fold").is_none());
         reg.handle("present").record(7u64);
         assert!(reg.folded("present").expect("fold").is_some());
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// GK that counts its clones. Reads here fold on the test's own
+    /// thread, so a per-thread count sees every clone they make.
+    struct Counted(GkSummary<u64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0.clone())
+        }
+    }
+
+    impl ComparisonSummary<u64> for Counted {
+        fn insert(&mut self, item: u64) {
+            self.0.insert(item)
+        }
+        fn insert_sorted_run(&mut self, run: &[u64]) -> usize {
+            self.0.insert_sorted_run(run)
+        }
+        fn item_array(&self) -> Vec<u64> {
+            self.0.item_array()
+        }
+        fn stored_count(&self) -> usize {
+            self.0.stored_count()
+        }
+        fn items_processed(&self) -> u64 {
+            self.0.items_processed()
+        }
+        fn query_rank(&self, r: u64) -> Option<u64> {
+            self.0.query_rank(r)
+        }
+        fn quantiles(&self, phis: &[f64], out: &mut Vec<Option<u64>>) {
+            self.0.quantiles(phis, out)
+        }
+    }
+
+    impl MergeableSummary<u64> for Counted {
+        fn try_merge(&mut self, other: &Self) -> Result<(), MergeError> {
+            self.0.try_merge(&other.0)
+        }
+        fn eps_bound(&self) -> Option<f64> {
+            self.0.eps_bound()
+        }
+    }
+
+    /// Summary clones made by `f`.
+    fn clones<R>(f: impl FnOnce() -> R) -> u64 {
+        let before = CLONES.with(std::cell::Cell::get);
+        f();
+        CLONES.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn reads_borrow_the_cached_fold() {
+        let reg = QuantileRegistry::new(
+            ServiceConfig {
+                shards: 4,
+                stripes: 2,
+                fold_cadence: 1 << 20,
+            },
+            || Counted(GkSummary::new(0.01)),
+        );
+        let (a, b) = (reg.handle("a"), reg.handle("b"));
+        for v in 0..2000u64 {
+            a.record(v * 7 % 2003);
+            b.record(v * 11 % 2003);
+        }
+        let grid = crate::DEFAULT_PHI_GRID;
+        // A refold of a dirty key clones only the shard it starts from.
+        assert_eq!(clones(|| a.quantile(0.5)), 1);
+        assert_eq!(clones(|| reg.export_quantiles(&grid)), 1, "b refolds");
+        // With both folds cached, reads, ε and exports copy nothing.
+        let reads = clones(|| {
+            for phi in grid {
+                a.quantile(phi).expect("fold");
+                b.quantile(phi).expect("fold");
+            }
+            a.composed_eps().expect("fold");
+            reg.export_quantiles(&grid).expect("export")
+        });
+        assert_eq!(reads, 0);
+        b.record(5);
+        assert_eq!(clones(|| reg.export_quantiles(&grid)), 1, "b refolds");
+        assert_eq!(clones(|| b.composed_eps()), 0);
+        // `folded` hands out an owned copy of the cached fold.
+        assert_eq!(clones(|| a.folded()), 1);
+        let folded = a.folded().expect("fold").expect("non-empty");
+        let mut want = Vec::new();
+        folded.quantiles(&grid, &mut want);
+        let export = reg.export_quantiles(&grid).expect("export");
+        assert_eq!(export.keys[0].values, want);
     }
 }

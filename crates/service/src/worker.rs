@@ -89,7 +89,7 @@ where
                 };
             }
         };
-        if let Err(err) = slot.fold::<T>() {
+        if let Err(err) = slot.with_fold::<T, _>(|_| ()) {
             wake.record_error(err);
         }
     }

@@ -138,6 +138,9 @@ pub const HOT_PATH_FNS: &[&str] = &[
     // GK's per-period sort and splice of the inserts buffered in arrival
     // order: every per-item insert pays a share of it.
     "flush_pending",
+    // The batched φ read: the service's exports answer every key's grid
+    // through it, in one walk for the GK family.
+    "quantiles",
 ];
 
 /// Entry points of the panic-free adversary driver — the *roots* of the
@@ -333,6 +336,7 @@ mod tests {
             "multi_locate",
             "with_items_between",
             "flush_pending",
+            "quantiles",
         ] {
             assert!(HOT_PATH_FNS.contains(&f), "{f} missing from hot-path roots");
         }

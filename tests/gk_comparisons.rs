@@ -129,7 +129,7 @@ fn banded_gk_comparison_counts_are_pinned() {
         Counts {
             per_item: 90_270,
             sorted_runs: 41_184,
-            reads_pending: 1_321,
+            reads_pending: 1_081,
             reads_spliced: 16,
         }
     );
@@ -143,7 +143,7 @@ fn greedy_gk_comparison_counts_are_pinned() {
         Counts {
             per_item: 87_528,
             sorted_runs: 38_263,
-            reads_pending: 1_206,
+            reads_pending: 993,
             reads_spliced: 15,
         }
     );
@@ -184,11 +184,34 @@ fn interleaved_reads<S: ComparisonSummary<Counted>>(mut s: S, n: usize) -> u64 {
 
 /// A read after every insert of the first two compress periods (ε =
 /// 0.01, period 50): each read sorts and settles the pending inserts,
-/// the price of inserts that compare nothing on arrival.
+/// the price of inserts that compare nothing on arrival. The walk stops
+/// once no later tuple can answer better, so pending inserts above the
+/// median cost no galloping search.
 #[test]
 fn reads_after_every_insert_of_two_periods_are_pinned() {
-    assert_eq!(interleaved_reads(GkSummary::new(0.01), 100), 15_202);
-    assert_eq!(interleaved_reads(GreedyGk::new(0.01), 100), 15_202);
+    assert_eq!(interleaved_reads(GkSummary::new(0.01), 100), 13_914);
+    assert_eq!(interleaved_reads(GreedyGk::new(0.01), 100), 13_914);
+}
+
+/// One `quantiles` call over the export grid, with 7 inserts pending,
+/// sorts and settles them once: it costs at most one full walk (a read
+/// of rank n), where twelve per-φ reads sort them twelve times.
+#[test]
+fn a_grid_read_sorts_the_pending_inserts_once() {
+    fn grid_and_per_phi<S: ComparisonSummary<Counted>>(mut s: S) -> (u64, u64) {
+        stream(10_007).iter().for_each(|&x| s.insert(x));
+        let grid = &cqs_service::DEFAULT_PHI_GRID;
+        let mut out = Vec::new();
+        let ((), batched) = counted(|| s.quantiles(grid, &mut out));
+        let (per_phi, one_by_one) =
+            counted(|| grid.iter().map(|&phi| s.quantile(phi)).collect::<Vec<_>>());
+        let (_, full_walk) = counted(|| s.query_rank(s.items_processed()));
+        assert_eq!(out, per_phi);
+        assert!(batched <= full_walk, "{batched} > {full_walk}");
+        (batched, one_by_one)
+    }
+    assert_eq!(grid_and_per_phi(GkSummary::new(0.01)), (67, 686));
+    assert_eq!(grid_and_per_phi(GreedyGk::new(0.01)), (61, 628));
 }
 
 /// The benchmark's `summary-ingest` stream (2²² shuffled items, seed 1,

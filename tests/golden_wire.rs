@@ -120,10 +120,56 @@ fn golden_fixtures_carry_the_current_header() {
     // Every fixture opens with the magic and the version this build
     // writes; a bumped VERSION with stale fixtures fails here first
     // with a clearer message than a byte-diff.
-    for name in ["gk_v1", "gk_greedy_v1", "mrl_v1", "ckms_v1"] {
+    for name in ["gk_v1", "gk_greedy_v1", "mrl_v1", "ckms_v1", "qsvc_v1"] {
         let bytes = std::fs::read(golden_path(name)).expect("fixture");
         assert_eq!(&bytes[..4], &MAGIC, "{name}: magic");
         let ver = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         assert_eq!(ver, VERSION, "{name}: header version");
     }
+}
+
+/// A fixed three-key registry (4 shards, ε₀ = 0.01). `a.latency` and
+/// `b.latency` take 20 and 12 batches through `parallel_ingest`, and
+/// `b.latency` five per-item `record`s on top, so its fold merges
+/// shards with inserts pending. `c.latency` takes one batch and one
+/// `record`, both on shard 0, so it exports a one-shard fold with an
+/// insert still pending.
+fn qsvc_registry() -> QuantileRegistry<u64, GkSummary<u64>> {
+    let reg = QuantileRegistry::new(
+        ServiceConfig {
+            shards: 4,
+            stripes: 4,
+            fold_cadence: 1 << 20,
+        },
+        || GkSummary::new(0.01),
+    );
+    let scrambled = |i: u64| (i * 48_271) % 10_007;
+    let batches = |count: u64, len: u64, base: u64| -> Vec<Vec<u64>> {
+        (0..count)
+            .map(|b| (0..len).map(|i| scrambled(base + b * len + i)).collect())
+            .collect()
+    };
+    parallel_ingest(&reg.handle("a.latency"), &batches(20, 100, 0), 2);
+    let b = reg.handle("b.latency");
+    parallel_ingest(&b, &batches(12, 150, 5_000), 2);
+    for i in 0..5 {
+        b.record(scrambled(9_000 + i));
+    }
+    let c = reg.handle("c.latency");
+    parallel_ingest(&c, &batches(1, 128, 7_000), 1);
+    c.record(scrambled(9_500));
+    reg
+}
+
+#[test]
+fn qsvc_export_bytes_are_stable() {
+    let export = qsvc_registry()
+        .export_quantiles(&DEFAULT_PHI_GRID)
+        .expect("export");
+    assert_eq!(export.keys.len(), 3);
+    assert_eq!(export.keys[2].n, 129);
+    let bytes = export.to_snapshot_bytes();
+    assert_matches_golden("qsvc_v1", &bytes);
+    let back = cqs::service::QuantileExport::<u64>::from_snapshot_bytes(&bytes).expect("restore");
+    assert_eq!(back, export);
 }

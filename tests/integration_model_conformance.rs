@@ -218,3 +218,26 @@ fn lent_items_match_visited_items_for_all_summaries() {
         "faulty-kll"
     );
 }
+
+/// `FaultySummary` keeps the per-φ default of `quantiles`, so its rank
+/// faults shift every φ of a grid exactly as they shift a lone read,
+/// though the GK summary inside answers a grid in one walk.
+#[test]
+fn faulty_grid_reads_apply_rank_faults_per_phi() {
+    let grid = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0];
+    for kind in [FaultKind::RankSlack(300), FaultKind::NonMonotoneRank] {
+        let plan = FaultPlan::none().inject(1, kind);
+        let mut s = FaultySummary::new(GkSummary::new(0.01), plan);
+        // 5 003 items at period 50: three inserts stay pending.
+        for x in shuffled(5_003, 7) {
+            s.insert(x);
+        }
+        let mut batched = Vec::new();
+        s.quantiles(&grid, &mut batched);
+        let per_phi: Vec<Option<u64>> = grid.iter().map(|&phi| s.quantile(phi)).collect();
+        assert_eq!(batched, per_phi, "{kind:?}");
+        let mut clean = Vec::new();
+        s.inner().quantiles(&grid, &mut clean);
+        assert_ne!(batched, clean, "{kind:?}: the fault must move the answers");
+    }
+}
