@@ -62,7 +62,7 @@ use cqs_bench::checkpoint::{
 };
 use cqs_bench::exec::{parse_jobs, run_cells, CellOutcome};
 use cqs_bench::json::{parse, Json};
-use cqs_bench::{attack_repr, Target};
+use cqs_bench::{try_attack_repr, Target};
 use cqs_core::{ComparisonSummary, Eps, MergeableSummary, StreamRepr};
 use cqs_gk::{GkSummary, GreedyGk};
 use cqs_service::{parallel_ingest, QuantileRegistry, ServiceConfig};
@@ -142,7 +142,8 @@ fn parse_opts() -> Result<Opts, String> {
 fn adversary_run(phase: &str, target: Target, eps_inv: u64, k: u32, repr: StreamRepr) -> Json {
     let eps = Eps::from_inverse(eps_inv);
     let started = Instant::now();
-    let report = attack_repr(eps, k, target, repr);
+    let report =
+        try_attack_repr(eps, k, target, repr).unwrap_or_else(|e| panic!("{}: {e}", target.name()));
     let elapsed = started.elapsed();
     // Both streams are fed: the adversary appends N items to π and N to ϱ.
     let items = 2 * report.n;

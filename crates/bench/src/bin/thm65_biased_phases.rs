@@ -27,9 +27,10 @@ fn main() -> std::process::ExitCode {
     let eps = Eps::from_inverse(32);
     let k = 8u32;
 
-    let ckms = run_biased_phases(eps, k, || CkmsSummary::<Item>::new(eps.value()));
-    let gk = run_biased_phases(eps, k, || GkSummary::<Item>::new(eps.value()));
-    assert!(ckms.equivalence_ok && gk.equivalence_ok);
+    let ckms = run_biased_phases(eps, k, || CkmsSummary::<Item>::new(eps.value()))
+        .unwrap_or_else(|e| panic!("ckms phases failed: {e}"));
+    let gk = run_biased_phases(eps, k, || GkSummary::<Item>::new(eps.value()))
+        .unwrap_or_else(|e| panic!("gk phases failed: {e}"));
 
     let mut t = Table::new(&[
         "phase",

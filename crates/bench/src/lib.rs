@@ -50,50 +50,24 @@ impl Target {
     }
 }
 
-/// Runs the full adversarial construction against the chosen target and
-/// returns the flat report.
+/// [`try_attack`] for targets expected to conform: the same run, with
+/// an adversary error raised as a panic.
 pub fn attack(eps: Eps, k: u32, target: Target) -> AdversaryReport {
-    attack_repr(eps, k, target, StreamRepr::Materialized)
+    try_attack(eps, k, target).unwrap_or_else(|e| panic!("{}: {e}", target.name()))
 }
 
-/// [`attack`] with an explicit stream representation — the unguarded
-/// (and therefore honestly-timed) path `perf_baseline` records; sweeps
-/// that must survive misbehaving summaries use [`try_attack_repr`].
-pub fn attack_repr(eps: Eps, k: u32, target: Target, repr: StreamRepr) -> AdversaryReport {
-    fn go<S: ComparisonSummary<Item>>(
-        eps: Eps,
-        k: u32,
-        repr: StreamRepr,
-        mut make: impl FnMut() -> S,
-    ) -> AdversaryReport {
-        cqs_core::Adversary::new(eps, make(), make())
-            .with_stream_repr(repr)
-            .run(k)
-            .report()
-    }
-    match target {
-        Target::Gk => go(eps, k, repr, || GkSummary::<Item>::new(eps.value())),
-        Target::GkGreedy => go(eps, k, repr, || GreedyGk::<Item>::new(eps.value())),
-        Target::KllFixed => {
-            let kcap = (4 * eps.inverse() as usize).max(8);
-            go(eps, k, repr, || KllSketch::<Item>::with_seed(kcap, 0xD1CE))
-        }
-        Target::Capped(b) => go(eps, k, repr, || CappedGk::<Item>::new(eps.value(), b)),
-    }
-}
-
-/// Panic-free [`attack`]: runs the construction through the guarded
-/// driver so one crashing or model-violating config yields an `Err`
-/// (with the full error rendered) instead of killing a whole sweep.
-/// The sweep binaries skip-and-record such configs.
+/// Runs the full adversarial construction against the chosen target and
+/// returns the flat report. A crashing or model-violating config yields
+/// an `Err` (with the full error rendered) instead of killing a whole
+/// sweep; the sweep binaries skip-and-record such configs.
 pub fn try_attack(eps: Eps, k: u32, target: Target) -> Result<AdversaryReport, String> {
     try_attack_repr(eps, k, target, StreamRepr::Materialized)
 }
 
-/// [`try_attack`] with an explicit stream representation.
-/// `StreamRepr::Implicit` keeps the adversary's order indexes
-/// interval-compressed — memory sublinear in N — which is what lets the
-/// large-N sweep grids drive cells at N = 10⁸–10⁹.
+/// [`try_attack`] with an explicit stream representation — the one
+/// target dispatcher. `StreamRepr::Implicit` keeps the adversary's
+/// order indexes interval-compressed — memory sublinear in N — which is
+/// what lets the large-N sweep grids drive cells at N = 10⁸–10⁹.
 pub fn try_attack_repr(
     eps: Eps,
     k: u32,

@@ -158,6 +158,11 @@ USAGE:
                 [--inv-eps I] [--k K] [--export PATH]
   cqs help
 
+`cqs adversary` exits 0 once the construction finishes, whether or not
+the summary stayed correct (the report says which). A run the driver
+ends early exits with its verdict's code, as below: 4 model-violation,
+5 summary-panicked, 6 budget-exhausted.
+
 `cqs faults` sweeps the fault matrix (every FaultPlan kind plus a budget
 cell) against the chosen summary and checks each run's verdict. Exit
 codes: 0 = every cell matched its expected verdict; on the first

@@ -5,7 +5,7 @@ use std::process::ExitCode;
 
 use cqs_cli::{
     parse_args, run_adversary_cmd, run_compare, run_faults_cmd, run_quantiles, run_recover_cmd,
-    run_service_cmd, Cli,
+    run_service_cmd, Cli, CliError,
 };
 
 fn main() -> ExitCode {
@@ -23,22 +23,11 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Cli::Quantiles(q) => run_quantiles(q, io::stdin().lock()),
-        Cli::Adversary(a) => run_adversary_cmd(a),
         Cli::Compare(c) => run_compare(c, io::stdin().lock()),
-        Cli::Faults(fa) => {
-            // Faults carries its own exit-code scheme (see USAGE): the
-            // report always prints, the code reflects verdict matching.
-            return match run_faults_cmd(fa) {
-                Ok((out, code)) => {
-                    print!("{out}");
-                    ExitCode::from(code)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
+        Cli::Adversary(a) => return print_with_code(run_adversary_cmd(a)),
+        // Faults carries its own exit-code scheme (see USAGE): the
+        // report always prints, the code reflects verdict matching.
+        Cli::Faults(fa) => return print_with_code(run_faults_cmd(fa)),
         Cli::Service(s) => {
             // Same exit-code shape as faults/recover; additionally the
             // exported snapshot bytes land at --export (if given) so CI
@@ -60,25 +49,20 @@ fn main() -> ExitCode {
                 }
             };
         }
-        Cli::Recover(r) => {
-            // Same shape as faults: the matrix always prints, the code
-            // says whether every corruption got its typed verdict.
-            return match run_recover_cmd(r) {
-                Ok((out, code)) => {
-                    print!("{out}");
-                    ExitCode::from(code)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
+        // Same shape as faults: the matrix always prints, the code says
+        // whether every corruption got its typed verdict.
+        Cli::Recover(r) => return print_with_code(run_recover_cmd(r)),
     };
+    print_with_code(result.map(|out| (out, 0)))
+}
+
+/// Prints a command's report and exits with its code, or reports its
+/// error as a failure.
+fn print_with_code(result: Result<(String, u8), CliError>) -> ExitCode {
     match result {
-        Ok(out) => {
+        Ok((out, code)) => {
             print!("{out}");
-            ExitCode::SUCCESS
+            ExitCode::from(code)
         }
         Err(e) => {
             eprintln!("error: {e}");

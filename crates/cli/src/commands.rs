@@ -140,54 +140,62 @@ pub(crate) fn adversary_stream(inv_eps: u64, k: u32) -> Result<(Eps, u64), CliEr
 }
 
 /// `cqs adversary`: run the lower-bound construction and report.
-pub fn run_adversary_cmd(args: &AdversaryArgs) -> Result<String, CliError> {
+/// Returns the rendered report plus the process exit code: 0 when the
+/// construction finished (whatever the summary's accuracy), otherwise
+/// the [`verdict_code`] of the run's typed `AdversaryError`.
+pub fn run_adversary_cmd(args: &AdversaryArgs) -> Result<(String, u8), CliError> {
     let (eps, n) = adversary_stream(args.inv_eps, args.k)?;
     let budget = if args.budget == 0 {
         (args.inv_eps / 2).max(4) as usize
     } else {
         args.budget.max(4)
     };
-    macro_rules! run {
-        ($make:expr) => {
-            run_adversary(eps, args.k, $make)
-        };
-    }
-    let (report, witness) = match args.target {
-        SummaryKind::Gk => {
-            let out = run!(|| GkSummary::<Item>::new(eps.value()));
-            (out.report(), quantile_failure_witness(&out))
-        }
-        SummaryKind::GkGreedy => {
-            let out = run!(|| GreedyGk::<Item>::new(eps.value()));
-            (out.report(), quantile_failure_witness(&out))
-        }
+    let k = args.k;
+    Ok(match args.target {
+        SummaryKind::Gk => adversary_on(eps, k, || GkSummary::<Item>::new(eps.value())),
+        SummaryKind::GkGreedy => adversary_on(eps, k, || GreedyGk::<Item>::new(eps.value())),
         SummaryKind::GkCapped => {
-            let out = run!(move || CappedGk::<Item>::new(eps.value(), budget));
-            (out.report(), quantile_failure_witness(&out))
+            adversary_on(eps, k, move || CappedGk::<Item>::new(eps.value(), budget))
         }
-        SummaryKind::Mrl => {
-            let out = run!(move || MrlSummary::<Item>::new(eps.value(), n));
-            (out.report(), quantile_failure_witness(&out))
-        }
-        SummaryKind::Kll => {
-            let out = run!(move || KllSketch::<Item>::with_seed(
-                (4 * args.inv_eps as usize).max(8),
-                0xD1CE
-            ));
-            (out.report(), quantile_failure_witness(&out))
-        }
+        SummaryKind::Mrl => adversary_on(eps, k, move || MrlSummary::<Item>::new(eps.value(), n)),
+        SummaryKind::Kll => adversary_on(eps, k, move || {
+            KllSketch::<Item>::with_seed((4 * args.inv_eps as usize).max(8), 0xD1CE)
+        }),
         other => {
             return Err(CliError::new(format!(
                 "{other:?} is not an adversary target (use gk, gk-greedy, gk-capped, mrl, kll)"
             )))
         }
-    };
+    })
+}
 
+/// Runs the construction against two copies from `make` and renders the
+/// report, or the typed error that ended the run with its exit code.
+fn adversary_on<S: ComparisonSummary<Item>>(
+    eps: Eps,
+    k: u32,
+    mut make: impl FnMut() -> S,
+) -> (String, u8) {
     let mut out = String::new();
+    let outcome = match Adversary::new(eps, make(), make()).try_run(k) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            let _ = writeln!(
+                out,
+                "adversary vs {} (eps = {eps}, k = {k}, N = {})",
+                make().name(),
+                eps.stream_len(k)
+            );
+            let _ = writeln!(out, "  run aborted: {e}");
+            let _ = writeln!(out, "  verdict: {}", e.verdict());
+            return (out, verdict_code(e.verdict()));
+        }
+    };
+    let report = outcome.report();
     let _ = writeln!(
         out,
         "adversary vs {} (eps = {}, k = {}, N = {})",
-        report.summary_name, eps, args.k, report.n
+        report.summary_name, eps, k, report.n
     );
     let _ = writeln!(
         out,
@@ -210,7 +218,7 @@ pub fn run_adversary_cmd(args: &AdversaryArgs) -> Result<String, CliError> {
         "  claim-1 / lemma-5.2 viol. : {} / {}",
         report.claim1_violations, report.lemma52_violations
     );
-    match witness {
+    match quantile_failure_witness(&outcome) {
         None => {
             let _ = writeln!(
                 out,
@@ -230,12 +238,13 @@ pub fn run_adversary_cmd(args: &AdversaryArgs) -> Result<String, CliError> {
             );
         }
     }
-    Ok(out)
+    (out, 0)
 }
 
-/// Exit code for a fault-matrix mismatch: the observed verdict's code
-/// (`Completed` on a faulted cell means the fault went undetected).
-/// See the `cqs faults` section of [`crate::USAGE`].
+/// Exit code for a verdict: a fault-matrix mismatch exits with the
+/// observed verdict's code (`Completed` on a faulted cell means the
+/// fault went undetected), and `cqs adversary` with its error's. See
+/// the `cqs faults` section of [`crate::USAGE`].
 fn verdict_code(v: RunVerdict) -> u8 {
     match v {
         RunVerdict::Completed => 7,
@@ -762,4 +771,24 @@ pub fn run_compare(args: &CompareArgs, input: impl BufRead) -> Result<String, Cl
         args.eps,
         t.render()
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn adversary_errors_exit_with_their_verdict_code() {
+        let eps = Eps::from_inverse(16);
+        let plan = FaultPlan::none().inject(40, FaultKind::PanicOnInsert);
+        let (out, code) = adversary_on(eps, 4, || {
+            FaultySummary::new(GkSummary::<Item>::new(eps.value()), plan.clone())
+        });
+        assert_eq!(code, 5, "{out}");
+        assert!(
+            out.contains("run aborted: summary panicked in insert at step 40"),
+            "{out}"
+        );
+        assert!(out.contains("verdict: summary-panicked"), "{out}");
+    }
 }

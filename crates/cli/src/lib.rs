@@ -286,7 +286,8 @@ mod tests {
             target: SummaryKind::Gk,
             budget: 0,
         };
-        let out = run_adversary_cmd(&a).unwrap();
+        let (out, code) = run_adversary_cmd(&a).unwrap();
+        assert_eq!(code, 0, "output: {out}");
         assert!(out.contains("gap"), "output: {out}");
         assert!(out.contains("theorem"), "output: {out}");
     }
@@ -299,7 +300,9 @@ mod tests {
             target: SummaryKind::GkCapped,
             budget: 6,
         };
-        let out = run_adversary_cmd(&a).unwrap();
+        let (out, code) = run_adversary_cmd(&a).unwrap();
+        // A summary that answers wrongly still lets the run finish.
+        assert_eq!(code, 0, "output: {out}");
         assert!(out.contains("FAILING QUERY"), "output: {out}");
     }
 

@@ -109,3 +109,28 @@ fn out_of_range_inv_eps_is_a_usage_error_not_a_panic() {
         }
     }
 }
+
+/// `cqs adversary` stdout at ε = 1/32, k = 6 for every target, pinned
+/// byte for byte: the report, the failure witness and the exit code.
+#[test]
+fn adversary_reports_match_the_golden_file() {
+    let mut stdout = String::new();
+    for target in [
+        &["--target", "gk"][..],
+        &["--target", "gk-greedy"],
+        &["--target", "mrl"],
+        &["--target", "kll"],
+        &["--target", "gk-capped", "--budget", "40"],
+    ] {
+        let mut args = vec!["adversary", "--inv-eps", "32", "--k", "6"];
+        args.extend_from_slice(target);
+        let (out, stderr, ok) = run(&args, "");
+        assert!(ok, "{target:?}: stderr: {stderr}");
+        stdout.push_str(&out);
+    }
+    assert_eq!(
+        stdout,
+        include_str!("golden/adversary_inv_eps32_k6.txt"),
+        "cqs adversary output drifted from the golden file"
+    );
+}

@@ -13,7 +13,7 @@
 
 use cqs_universe::{Endpoint, Interval, Item};
 
-use crate::adversary::Adversary;
+use crate::adversary::{Adversary, AdversaryError};
 use crate::eps::Eps;
 use crate::model::ComparisonSummary;
 use crate::spacegap::theorem22_bound;
@@ -58,13 +58,18 @@ pub struct BiasedReport {
     /// Σ_i bound_i — the Ω((1/ε)·k²) total a correct biased summary
     /// must meet.
     pub total_bound: f64,
-    /// Whether indistinguishability held throughout.
-    pub equivalence_ok: bool,
 }
 
 /// Runs the k-phase biased-quantiles construction against two fresh
-/// copies of a summary.
-pub fn run_biased_phases<S, F>(eps: Eps, k: u32, mut make: F) -> BiasedReport
+/// copies of a summary. Each phase is one [`Adversary::extend`], so a
+/// summary that panics, leaves the comparison model (indistinguishability
+/// included) or exhausts a capacity ends the run as the phase's typed
+/// [`AdversaryError`].
+pub fn run_biased_phases<S, F>(
+    eps: Eps,
+    k: u32,
+    mut make: F,
+) -> Result<BiasedReport, AdversaryError>
 where
     S: ComparisonSummary<Item>,
     F: FnMut() -> S,
@@ -77,7 +82,7 @@ where
         let iv_pi = phase_interval(adv.pi().max());
         let iv_rho = phase_interval(adv.rho().max());
         let start = adv.pi().len();
-        let gap = adv.extend(i, &iv_pi, &iv_rho);
+        let gap = adv.extend(i, &iv_pi, &iv_rho)?;
         let end = adv.pi().len();
         ranges.push((start, end));
         let stored_now = stored_from_range(adv.pi(), start, end);
@@ -87,7 +92,6 @@ where
     let total_len = adv.pi().len();
     let stored_final = adv.pi().summary.stored_count();
     let max_stored = adv.pi().summary.max_stored();
-    let equivalence_ok = adv.equivalence_error().is_none();
 
     let mut phase_audits = Vec::with_capacity(k as usize);
     for (idx, &(start, end)) in ranges.iter().enumerate() {
@@ -106,7 +110,7 @@ where
     }
     let total_bound = phase_audits.iter().map(|p| p.bound).sum();
 
-    BiasedReport {
+    Ok(BiasedReport {
         eps,
         phases: k,
         total_len,
@@ -114,8 +118,7 @@ where
         stored_final,
         max_stored,
         total_bound,
-        equivalence_ok,
-    }
+    })
 }
 
 fn phase_interval(max: Option<Item>) -> Interval {
@@ -155,7 +158,7 @@ mod tests {
     #[test]
     fn phase_lengths_follow_geometric_schedule() {
         let eps = Eps::from_inverse(4);
-        let rep = run_biased_phases(eps, 4, ExactSummary::new);
+        let rep = run_biased_phases(eps, 4, ExactSummary::new).unwrap();
         assert_eq!(rep.phase_audits.len(), 4);
         for (i, p) in rep.phase_audits.iter().enumerate() {
             assert_eq!(p.n_i, eps.stream_len(i as u32 + 1));
@@ -168,17 +171,16 @@ mod tests {
     #[test]
     fn phases_are_order_disjoint_and_increasing() {
         let eps = Eps::from_inverse(4);
-        let rep = run_biased_phases(eps, 3, ExactSummary::new);
+        let rep = run_biased_phases(eps, 3, ExactSummary::new).unwrap();
         for w in rep.phase_audits.windows(2) {
             assert_eq!(w[0].end, w[1].start);
         }
-        assert!(rep.equivalence_ok);
     }
 
     #[test]
     fn exact_summary_retains_every_phase_fully() {
         let eps = Eps::from_inverse(4);
-        let rep = run_biased_phases(eps, 3, ExactSummary::new);
+        let rep = run_biased_phases(eps, 3, ExactSummary::new).unwrap();
         for p in &rep.phase_audits {
             assert_eq!(p.stored_at_stream_end as u64, p.n_i);
             assert_eq!(p.gap_at_phase_end, 1);
@@ -189,8 +191,12 @@ mod tests {
     #[test]
     fn total_bound_is_quadratic_in_k() {
         let eps = Eps::from_inverse(64);
-        let r4 = run_biased_phases(eps, 4, ExactSummary::new).total_bound;
-        let r8 = run_biased_phases(eps, 8, ExactSummary::new).total_bound;
+        let r4 = run_biased_phases(eps, 4, ExactSummary::new)
+            .unwrap()
+            .total_bound;
+        let r8 = run_biased_phases(eps, 8, ExactSummary::new)
+            .unwrap()
+            .total_bound;
         // Σ_{i≤k}(i+2) = k(k+5)/2: k=4 → 18, k=8 → 52.
         assert!((r8 / r4 - 52.0 / 18.0).abs() < 1e-9);
     }

@@ -146,17 +146,14 @@ pub fn quantile_reduction<S: ComparisonSummary<Item>>(
             )
         }
     };
-    // Each side's pad is one run: indexed once, then fed item by item,
-    // so the summaries see exactly the per-item inserts of the padding.
+    // Each side's pad is one increasing run, appended like a leaf.
     let (iv_pi, iv_rho) = (pad_interval(&outcome.pi), pad_interval(&outcome.rho));
-    let pad_pi = generate_increasing(&iv_pi, m as usize);
-    let pad_rho = generate_increasing(&iv_rho, m as usize);
-    outcome.pi.index_run_in(&iv_pi, &pad_pi);
-    outcome.rho.index_run_in(&iv_rho, &pad_rho);
-    for (a, b) in pad_pi.into_iter().zip(pad_rho) {
-        outcome.pi.feed_summary(a);
-        outcome.rho.feed_summary(b);
-    }
+    outcome
+        .pi
+        .push_run_in(&iv_pi, &generate_increasing(&iv_pi, m as usize));
+    outcome
+        .rho
+        .push_run_in(&iv_rho, &generate_increasing(&iv_rho, m as usize));
 
     let total = n + m;
     let median_rank = ((phi * total as f64) as u64).clamp(1, total);

@@ -165,9 +165,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// is not strictly increasing or its span overlaps existing items.
     pub fn push_run_in(&mut self, iv: &Interval, run: &[Item]) -> usize {
         self.index_run_in(iv, run);
-        let peak = self.summary.insert_sorted_run(run);
-        self.n += run.len() as u64;
-        peak
+        self.feed_run(run)
     }
 
     /// Indexes a run minted inside `iv` in the order-statistic index
@@ -176,7 +174,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// for the panic-free driver: the index must know the items before
     /// any summary call so that, when the summary panics mid-run,
     /// rank/next/prev queries for the partial audit trail stay coherent.
-    /// Follow up with [`feed_summary`](Self::feed_summary) per item.
+    /// Follow up with [`feed_run`](Self::feed_run).
     ///
     /// # Panics
     ///
@@ -221,14 +219,17 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         self.order.runs_exhausted()
     }
 
-    /// Feeds one item (already indexed via
-    /// [`index_run_in`](Self::index_run_in)) to the summary and advances
-    /// the stream length. The caller is responsible for feeding items in
-    /// the same order they were indexed; the arrival tags assigned by
-    /// `index_run_in` assume it.
-    pub fn feed_summary(&mut self, item: Item) {
-        self.summary.insert(item);
-        self.n += 1;
+    /// Feeds a run already indexed via
+    /// [`index_run_in`](Self::index_run_in) to the summary in one
+    /// [`ComparisonSummary::insert_sorted_run`] call and advances the
+    /// stream length; returns the run's peak `|I|`. The second half of
+    /// [`push_run_in`](Self::push_run_in): the arrival tags that
+    /// `index_run_in` assigned assume the runs are fed in the order
+    /// they were indexed.
+    pub fn feed_run(&mut self, run: &[Item]) -> usize {
+        let peak = self.summary.insert_sorted_run(run);
+        self.n += run.len() as u64;
+        peak
     }
 
     /// Capacity hint for `additional` more stream items. The index grows
@@ -441,14 +442,15 @@ fn finite_bounds(iv: &Interval) -> (Option<&Item>, Option<&Item>) {
 /// and positional correspondence — the i-th stored item of each summary
 /// arrived at the same position of its stream.
 ///
-/// Returns `Err` with a human-readable reason on the first violation.
-/// A violation means the summary is not deterministic-comparison-based
-/// (or the construction is buggy); the paper's argument then does not
-/// apply, so the harness treats it as fatal.
+/// Returns the common item-array size `|I|`, or `Err` with a
+/// human-readable reason on the first violation. A violation means the
+/// summary is not deterministic-comparison-based (or the construction
+/// is buggy); the paper's argument then does not apply, so the harness
+/// treats it as fatal.
 pub fn check_indistinguishable<S: ComparisonSummary<Item>>(
     pi: &StreamState<S>,
     rho: &StreamState<S>,
-) -> Result<(), String> {
+) -> Result<usize, String> {
     let ia = pi.summary.item_array();
     let ib = rho.summary.item_array();
     if ia.len() != ib.len() {
@@ -472,7 +474,7 @@ pub fn check_indistinguishable<S: ComparisonSummary<Item>>(
             ));
         }
     }
-    Ok(())
+    Ok(ia.len())
 }
 
 /// Previous-pass entries probed from the cursor of the positional
@@ -551,12 +553,13 @@ impl EquivalenceChecker {
     }
 
     /// Semantically identical to [`check_indistinguishable`] on the same
-    /// pair of states; see the type docs for the cost model.
+    /// pair of states, including the returned `|I|` (the length of the
+    /// arrays it was lent); see the type docs for the cost model.
     pub fn check<S: ComparisonSummary<Item>>(
         &mut self,
         pi: &StreamState<S>,
         rho: &StreamState<S>,
-    ) -> Result<(), String> {
+    ) -> Result<usize, String> {
         let EquivalenceChecker {
             pi: prev_pi,
             rho: prev_rho,
@@ -570,7 +573,7 @@ impl EquivalenceChecker {
         // Equal tag sequences imply equal array sizes (one tag per
         // stored item), so this is the whole Definition 3.2 condition.
         if ok && prev_pi.iter().map(|e| e.1).eq(prev_rho.iter().map(|e| e.1)) {
-            return Ok(());
+            return Ok(prev_pi.len());
         }
         // Anomaly: let the reference walk produce the diagnostic. The
         // previous passes stay — a resolved tag is an immutable fact
@@ -827,7 +830,7 @@ mod tests {
                 let mut b = StreamState::with_repr(Prunable::default(), repr);
                 a.push_run_in(&whole, &root);
                 b.push_run_in(&whole, &root);
-                assert_eq!(chk.check(&a, &b), Ok(()));
+                assert_eq!(chk.check(&a, &b), Ok(a.summary.item_array().len()));
                 // Both sides drop the same 20-item stretch, well past
                 // the window, then take a leaf run in a gap above it.
                 for st in [&mut a, &mut b] {

@@ -116,8 +116,10 @@ impl<T: Ord + Clone> ComparisonSummary<T> for ReservoirSummary<T> {
         out
     }
 
+    /// The reservoir's cells plus the separately kept min and max, which
+    /// `item_array` also lists (once each, when they are not sampled).
     fn stored_count(&self) -> usize {
-        self.reservoir.len()
+        self.reservoir.len() + usize::from(self.min.is_some()) + usize::from(self.max.is_some())
     }
 
     fn items_processed(&self) -> u64 {
@@ -178,9 +180,26 @@ mod tests {
         let mut rs = ReservoirSummary::with_capacity(100, 0.05, 1);
         for x in shuffled(10_000, 2) {
             rs.insert(x);
-            assert!(rs.stored_count() <= 100);
+            assert!(rs.stored_count() <= 100 + 2);
         }
-        assert_eq!(rs.stored_count(), 100);
+        assert_eq!(rs.stored_count(), 100 + 2, "the sample plus min and max");
+    }
+
+    #[test]
+    fn stored_count_covers_the_item_array_after_every_insert() {
+        for values in [(1..=2_000u64).collect(), shuffled(2_000, 5)] {
+            let mut rs = ReservoirSummary::with_capacity(300, 0.05, 6);
+            for x in values {
+                rs.insert(x);
+                assert!(
+                    rs.stored_count() >= rs.item_array().len(),
+                    "stored_count() = {} < |item_array()| = {} after {} inserts",
+                    rs.stored_count(),
+                    rs.item_array().len(),
+                    rs.items_processed()
+                );
+            }
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn role_of(crate_name: &str) -> Role {
     match crate_name {
         "universe" => Role::Universe,
         "core" | "." => Role::Core,
-        "gk" | "mrl" | "ckms" | "kll" | "sampling" | "ostree" | "window" => Role::Summary,
+        "gk" | "mrl" | "ckms" | "kll" | "sampling" | "ostree" => Role::Summary,
         "qdigest" => Role::BoundedUniverse,
         "streams" => Role::Substrate,
         "snapshot" => Role::Snapshot,

@@ -57,7 +57,6 @@ pub use cqs_sampling as sampling;
 pub use cqs_service as service;
 pub use cqs_streams as streams;
 pub use cqs_universe as universe;
-pub use cqs_window as window;
 
 /// The most common imports in one place.
 pub mod prelude {
@@ -78,5 +77,4 @@ pub mod prelude {
     };
     pub use cqs_streams::{workload, OrdF64, Workload};
     pub use cqs_universe::{generate_increasing, Interval};
-    pub use cqs_window::SlidingWindowGk;
 }

@@ -1,10 +1,10 @@
 //! Batched-insert equivalence: the bulk hot paths added for throughput
-//! (the GK one-pass sorted-run merge and the adversary's batched leaves
-//! in `Adversary::run`) must be *observationally identical* to the
-//! per-item paths they replace — same tuples, same audit trail, byte for
-//! byte. GK's per-item path holds pending inserts in its fresh buffer
-//! between flushes and its sorted-run path never does, so comparing the
-//! two also pins every reader over pending inserts to the flushed list.
+//! (the GK one-pass sorted-run merge and the adversary's batched leaves)
+//! must be *observationally identical* to the per-item paths they
+//! replace — same tuples, same audit trail, byte for byte. GK's
+//! per-item path holds pending inserts in its fresh buffer between
+//! flushes and its sorted-run path never does, so comparing the two also
+//! pins every reader over pending inserts to the flushed list.
 
 use cqs::prelude::*;
 use cqs_core::adversary::Adversary;
@@ -172,11 +172,13 @@ fn gk_batch_insert_handles_duplicate_values() {
     }
 }
 
-/// The adversary's batched leaves (`run`, one `insert_sorted_run` per
-/// leaf) must leave *no trace* in the audits: every recursion-tree
-/// node's record — gaps, S_k, Claim 1, Lemma 5.2, the space-gap RHS — is
-/// byte-identical to the per-item run of the panic-free driver
-/// (`try_run`, one guarded `insert` per item), as is the flat report.
+/// The adversary feeds each leaf through `insert_sorted_run`. On a
+/// bare summary that is its bulk path; on a [`FaultySummary`] with the
+/// empty plan, which keeps the trait's per-item default, it is one
+/// `insert` per item. The feed must leave *no trace* in the audits:
+/// every recursion-tree node's record — gaps, S_k, Claim 1, Lemma 5.2,
+/// the space-gap RHS — is byte-identical across the two, as are the
+/// flat report and the rank probe.
 fn assert_adversary_modes_agree<S, F>(label: &str, eps_inv: u64, k: u32, make: F)
 where
     S: ComparisonSummary<Item>,
@@ -184,9 +186,12 @@ where
 {
     let eps = Eps::from_inverse(eps_inv);
     let batched = Adversary::new(eps, make(), make()).run(k);
-    let per_item = Adversary::new(eps, make(), make())
-        .try_run(k)
-        .unwrap_or_else(|e| panic!("{label}: per-item run aborted: {e}"));
+    let per_item = Adversary::new(
+        eps,
+        FaultySummary::new(make(), FaultPlan::none()),
+        FaultySummary::new(make(), FaultPlan::none()),
+    )
+    .run(k);
     assert_eq!(
         format!("{:?}", batched.audits),
         format!("{:?}", per_item.audits),
@@ -198,7 +203,10 @@ where
         format!("{rp:?}"),
         "{label}: reports diverged"
     );
-    assert!(rb.equivalence_ok, "{label}: batched run broke equivalence");
+    assert_eq!(
+        batched.rank_probe, per_item.rank_probe,
+        "{label}: rank probes"
+    );
 }
 
 #[test]
@@ -207,6 +215,8 @@ fn adversary_audits_identical_across_insert_modes() {
     assert_adversary_modes_agree("gk", 16, 4, || GkSummary::<Item>::new(1.0 / 16.0));
     assert_adversary_modes_agree("gk", 8, 5, || GkSummary::<Item>::new(1.0 / 8.0));
     assert_adversary_modes_agree("gk-greedy", 16, 4, || GreedyGk::<Item>::new(1.0 / 16.0));
+    assert_adversary_modes_agree("kll", 16, 5, || KllSketch::<Item>::with_seed(64, 0xD1CE));
+    assert_adversary_modes_agree("ckms", 16, 5, || CkmsSummary::<Item>::new(1.0 / 16.0));
 }
 
 /// The gap scan's `GapInfo`, rebuilt from `item_array()` and one

@@ -59,8 +59,8 @@ fn rank_estimation_no_witness_for_correct_gk() {
 #[test]
 fn biased_phases_ckms_retains_every_phase() {
     let eps = Eps::from_inverse(32);
-    let rep = run_biased_phases(eps, 5, || CkmsSummary::<Item>::new(eps.value()));
-    assert!(rep.equivalence_ok);
+    let rep = run_biased_phases(eps, 5, || CkmsSummary::<Item>::new(eps.value()))
+        .expect("the phases complete on a conforming summary");
     for p in &rep.phase_audits {
         assert!(
             p.stored_at_stream_end as f64 >= p.bound,
@@ -78,8 +78,8 @@ fn biased_phases_uniform_gk_forgets_early_phases() {
     // The contrast motivating Theorem 6.5: a uniform summary may forget
     // early phases once N has grown; a biased summary may not.
     let eps = Eps::from_inverse(32);
-    let rep = run_biased_phases(eps, 6, || GkSummary::<Item>::new(eps.value()));
-    assert!(rep.equivalence_ok);
+    let rep = run_biased_phases(eps, 6, || GkSummary::<Item>::new(eps.value()))
+        .expect("the phases complete on a conforming summary");
     let first = &rep.phase_audits[0];
     assert!(
         first.stored_at_stream_end < first.stored_at_phase_end,
@@ -92,8 +92,40 @@ fn biased_phases_uniform_gk_forgets_early_phases() {
 #[test]
 fn biased_phase_streams_grow_monotonically_across_phases() {
     let eps = Eps::from_inverse(16);
-    let rep = run_biased_phases(eps, 4, || GkSummary::<Item>::new(eps.value()));
+    let rep = run_biased_phases(eps, 4, || GkSummary::<Item>::new(eps.value()))
+        .expect("the phases complete on a conforming summary");
     // Each phase appends N_i = (1/eps)·2^i items.
     let expected: u64 = (1..=4u32).map(|i| eps.stream_len(i)).sum();
     assert_eq!(rep.total_len, expected);
+}
+
+#[test]
+fn biased_phases_surface_a_phase_two_panic_as_a_typed_error() {
+    let eps = Eps::from_inverse(16);
+    // Phase 1 feeds N_1 = 2/ε items in one leaf; the armed step lands in
+    // the second leaf of phase 2.
+    let at = eps.stream_len(1) + eps.leaf_items() + 6;
+    let plan = FaultPlan::none().inject(at, FaultKind::PanicOnInsert);
+    let err = run_biased_phases(eps, 3, || {
+        FaultySummary::new(GkSummary::<Item>::new(eps.value()), plan.clone())
+    })
+    .expect_err("the phase-2 panic must surface as an error");
+    assert_eq!(err.verdict(), RunVerdict::SummaryPanicked);
+    match &err {
+        AdversaryError::SummaryPanicked {
+            step,
+            during,
+            partial,
+            ..
+        } => {
+            assert_eq!(*step, at);
+            assert_eq!(*during, "insert");
+            assert_eq!(partial.k, 2, "the error names the phase's depth");
+            assert_eq!(partial.items_fed, at - 1);
+            // Phase 1's root and phase 2's first leaf completed.
+            let levels: Vec<u32> = partial.audits.iter().map(|a| a.level).collect();
+            assert_eq!(levels, vec![1, 1]);
+        }
+        other => panic!("wrong variant: {other:?}"),
+    }
 }
