@@ -199,6 +199,12 @@ if [[ $fast -eq 0 ]]; then
     echo "==> fault-matrix smoke (cqs faults, gk, eps=1/16, k=6)"
     faults_smoke --release
 
+    echo "==> implicit vs materialized differential up to N ~ 1e6 (release)"
+    # Both representations' id-keyed run lookups at scale must give
+    # byte-identical adversary reports (seconds in release).
+    cargo test --release -q -p cqs-bench --test implicit_differential -- \
+        --ignored --exact implicit_matches_materialized_up_to_a_million_items
+
     echo "==> parallel-determinism smoke (thm22 --smoke, --jobs 1 vs --jobs 4)"
     # CQS_RESULTS_DIR redirects the CSV mirrors so the committed
     # results/ artifacts are never clobbered by a smoke grid.

@@ -17,7 +17,7 @@ use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cqs_universe::{generate_increasing, generate_increasing_grouped, Interval, Item};
+use cqs_universe::{generate_labels_into, Interval, Item, LabelArena};
 
 use crate::eps::Eps;
 use crate::gap::{compute_gap_scratch, GapInfo, GapScratch, TieBreak};
@@ -71,6 +71,8 @@ pub struct Adversary<S> {
     gap_scratch: GapScratch,
     equiv: EquivalenceChecker,
     budget: AdversaryBudget,
+    /// Mints every leaf run, keeping its buffers between leaves.
+    arena: LabelArena,
 }
 
 /// Everything the adversary produced: the final stream states (reusable
@@ -423,6 +425,7 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
             gap_scratch: GapScratch::default(),
             equiv: EquivalenceChecker::new(),
             budget: AdversaryBudget::default(),
+            arena: LabelArena::new(),
         }
     }
 
@@ -676,19 +679,26 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// Mints the two leaf runs of 2/ε fresh items inside the current
     /// intervals. While the intervals coincide (e.g. the first leaf) the
     /// very same items are appended to both streams — the paper's
-    /// observation. Implicit streams seal in groups of
-    /// [`LEAF_SEAL_GROUP`]: the run is replayed on demand through a
-    /// `RunGenerator` afterwards, so per-item arena ids would only burn
-    /// the 2³²-id mint space the whole-sweep budget needs.
+    /// observation. Each run is sealed with one block of arena ids;
+    /// implicit streams seal it in groups of [`LEAF_SEAL_GROUP`], so a
+    /// summary-retained item pins at most that many labels, not the
+    /// whole run.
     fn mint_leaf_runs(
-        &self,
+        &mut self,
         iv_pi: &Interval,
         iv_rho: &Interval,
         n: usize,
     ) -> (Vec<Item>, Vec<Item>) {
-        let mint = |iv: &Interval| match self.repr() {
-            StreamRepr::Materialized => generate_increasing(iv, n),
-            StreamRepr::Implicit => generate_increasing_grouped(iv, n, LEAF_SEAL_GROUP),
+        let repr = self.repr();
+        let arena = &mut self.arena;
+        let mut mint = |iv: &Interval| {
+            generate_labels_into(iv, n, arena);
+            let mut run = Vec::with_capacity(n);
+            match repr {
+                StreamRepr::Materialized => arena.seal_into(&mut run),
+                StreamRepr::Implicit => arena.seal_grouped_into(LEAF_SEAL_GROUP, &mut run),
+            }
+            run
         };
         if iv_pi == iv_rho {
             let shared = mint(iv_pi);
@@ -725,8 +735,7 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
         // wraparound: the arena mint counter and the run-id space.
         if cqs_universe::ids_exhausted() {
             return Err(TryAbort::Exhausted {
-                detail: "label arena mint ids exhausted (2^32 items minted across this \
-                         process); implicit streams avoid per-item ids via grouped sealing"
+                detail: "label arena mint ids exhausted (2^32 items minted across this process)"
                     .to_string(),
             });
         }

@@ -65,7 +65,6 @@ pub mod rng;
 mod run_order;
 pub mod spacegap;
 pub mod state;
-mod tag_cache;
 
 pub use adversary::{
     run_lower_bound, try_run_adversary, try_run_adversary_repr, Adversary, AdversaryBudget,

@@ -149,7 +149,7 @@ pub fn try_refine_from<S: ComparisonSummary<Item>>(
 /// `b ∈ (α_ϱ, β_ϱ)` land at the same position of the respective item
 /// arrays, i.e. `min{i | a ≤ I_π[i]} = min{i | b ≤ I_ϱ[i]}`.
 ///
-/// Used by tests and the adversary's paranoid mode.
+/// Used by tests.
 pub fn check_observation1<S: ComparisonSummary<Item>>(
     pi: &StreamState<S>,
     rho: &StreamState<S>,

@@ -26,21 +26,22 @@
 //!   what lets the Theorem 2.2 sweep verify the Ω((1/ε)·log εN) shape at
 //!   N = 10⁸–10⁹ on one machine.
 //!
-//! A bounded direct-mapped id → arrival-tag cache ([`TagCache`]) lets the
-//! hot queries — rank and arrival tag of summary-retained items — skip
-//! the in-run lookup altogether. A rank query is one fragment descent (a
-//! batch of them, one [`RunTree::multi_locate`] walk) plus an O(1) cache
-//! lookup for the offset inside the fragment. Both sources answer
-//! byte-identically for the same stream, because the generator replays
-//! the very subdivision that minted the stored items (the differential
-//! suite in `cqs-bench` pins this end to end).
+//! A sealed run's items carry consecutive arena ids
+//! ([`cqs_universe::run_first_id`]), so each run records its first id,
+//! and an in-run lookup of one of its items is `id − first`. A small
+//! id-ordered directory of `(first id, run)` finds a stream item's run,
+//! and so its arrival tag, with no tree descent; a rank query is one
+//! fragment descent (a batch of them, one [`RunTree::multi_locate`] walk)
+//! plus that O(1) offset. Items with no run id (single mints, snapshot
+//! stretches whose ids are not consecutive, post-exhaustion items) fall
+//! back to the tree and the run source. Both sources answer identically,
+//! because the generator replays the very subdivision that minted the
+//! stored items (the differential suite in `cqs-bench` pins this).
 
 use std::borrow::Borrow;
 
 use cqs_ostree::{Fragment, Locate, RunTree};
-use cqs_universe::{Endpoint, Interval, Item, RunGenerator};
-
-use crate::tag_cache::TagCache;
+use cqs_universe::{run_first_id, Endpoint, Interval, Item, RunGenerator};
 
 /// Where one run's items come from.
 pub(crate) enum RunSource {
@@ -52,11 +53,19 @@ pub(crate) enum RunSource {
 
 impl RunSource {
     /// The run's `j`-th item in label order: a clone of the stored item,
-    /// or a fresh mint that compares equal to the original arrival.
+    /// or a re-mint equal to it (with its id, for a sealed run).
     fn item_at(&self, j: u64) -> Option<Item> {
         match self {
             RunSource::Stored(items) => usize::try_from(j).ok().and_then(|j| items.get(j)).cloned(),
             RunSource::Generated(g) => (j < g.count()).then(|| g.item_at(j)),
+        }
+    }
+
+    /// Number of items in the run.
+    fn count(&self) -> u64 {
+        match self {
+            RunSource::Stored(items) => items.len() as u64,
+            RunSource::Generated(g) => g.count(),
         }
     }
 }
@@ -66,20 +75,40 @@ struct Run {
     /// Global arrival tag of the run's item 0: runs arrive whole, so the
     /// tag of its `j`-th item is `start + j`.
     start: u64,
+    /// Arena id of the run's item 0 when item `j` carries id `first + j`.
+    first_id: Option<u32>,
     source: RunSource,
+}
+
+impl Run {
+    /// The in-run index of `q`, if its id marks it as one of this run's
+    /// items.
+    fn index_by_id(&self, q: &Item) -> Option<u64> {
+        let j = u64::from(q.arena_id()?.checked_sub(self.first_id?)?);
+        (j < self.source.count()).then_some(j)
+    }
+}
+
+/// One entry of the id directory: run `run` holds the items with arena
+/// ids `first..end`.
+#[derive(Clone, Copy)]
+struct IdRange {
+    first: u32,
+    end: u32,
+    run: u32,
 }
 
 /// The run-fragment order index. See the module docs.
 pub(crate) struct RunOrder {
     /// Indexed by the `run` field of fragments.
     runs: Vec<Run>,
-    /// Fragments of contiguous in-run index ranges, in label order.
+    /// Fragments of contiguous in-run index ranges, in label order; their
+    /// counts sum to the stream length.
     tree: RunTree<Item>,
-    /// Total items (= stream length so far).
-    len: u64,
-    /// Id → arrival tag fast path, seeded with every run as it arrives
-    /// and re-seeded by every in-run lookup that finds a stream item.
-    cache: TagCache,
+    /// The id ranges of runs with consecutive ids, in id order. A run
+    /// whose ids lie below the last entry's stays out; its items resolve
+    /// through the tree.
+    by_id: Vec<IdRange>,
 }
 
 impl RunOrder {
@@ -87,18 +116,7 @@ impl RunOrder {
         RunOrder {
             runs: Vec::new(),
             tree: RunTree::new(),
-            len: 0,
-            cache: TagCache::default(),
-        }
-    }
-
-    /// An index whose tag cache has `cap` slots — small capacities force
-    /// constant evictions, which the collision tests rely on.
-    #[cfg(test)]
-    pub(crate) fn with_cache_capacity(cap: usize) -> Self {
-        RunOrder {
-            cache: TagCache::with_capacity(cap),
-            ..Self::new()
+            by_id: Vec::new(),
         }
     }
 
@@ -117,9 +135,6 @@ impl RunOrder {
             if stretch.is_empty() {
                 start = tag;
             }
-            if let Some(id) = item.arena_id() {
-                order.cache.set(id, tag);
-            }
             stretch.push(item);
             if pairs
                 .peek()
@@ -131,8 +146,9 @@ impl RunOrder {
                 return None;
             }
             let items = std::mem::take(&mut stretch).into_boxed_slice();
+            let first_id = run_first_id(&items);
             if let (Some(lo), Some(hi)) = (items.first().cloned(), items.last().cloned()) {
-                order.push_run(start, lo, hi, RunSource::Stored(items));
+                order.push_run(start, (lo, hi), first_id, RunSource::Stored(items));
             }
         }
         Some(order)
@@ -140,7 +156,7 @@ impl RunOrder {
 
     /// Number of items indexed.
     pub(crate) fn len(&self) -> u64 {
-        self.len
+        self.tree.virtual_len()
     }
 
     /// Number of fragments — the index's resident footprint driver.
@@ -150,22 +166,25 @@ impl RunOrder {
     }
 
     /// Appends a run of strictly increasing fresh `items`, minted inside
-    /// the open interval `iv`, whose closed span holds no stream item;
-    /// `source` answers lookups inside the run from then on.
+    /// the open interval `iv`; `source` answers lookups inside the run
+    /// from then on.
     ///
     /// The run lands between two adjacent stream items, so at most one
     /// fragment — the one whose label span contains the run — needs
     /// splitting. The adversary mints between order-adjacent items, so
-    /// splitting after `iv`'s low endpoint, a stream item the cache
-    /// knows, finds the cut with no in-run lookup; the split around the
-    /// run's first item then covers any looser interval, and in the
-    /// adversary's case is one descent that hits no fragment.
+    /// splitting after `iv`'s low endpoint, a stream item whose id finds
+    /// its offset, finds the cut with no in-run search; the split around
+    /// the run's first item then covers any looser interval, and in the
+    /// adversary's case is one descent that hits no fragment. Only then
+    /// is the run's closed span checked to hold no stream item, so that
+    /// check's two descents land in a gap too.
     ///
     /// # Panics
     ///
-    /// Panics if the run table would exceed the fragment treap's `u32`
-    /// run-id space; callers on the panic-free driver path check
-    /// [`Self::runs_exhausted`] before minting.
+    /// Panics if the span holds a stream item ("distinct"), or if the run
+    /// table would exceed the fragment treap's `u32` run-id space; callers
+    /// on the panic-free driver path check [`Self::runs_exhausted`]
+    /// before minting.
     pub(crate) fn insert_run(&mut self, iv: &Interval, items: &[Item], source: RunSource) {
         let Some((first, last)) = items.first().zip(items.last()) else {
             return;
@@ -178,30 +197,43 @@ impl RunOrder {
             self.split_around(a);
         }
         self.split_around(first);
-        let start = self.len;
-        for (j, it) in (start..).zip(items) {
-            if let Some(id) = it.arena_id() {
-                self.cache.set(id, j);
-            }
-        }
-        self.push_run(start, first.clone(), last.clone(), source);
+        assert!(
+            self.count_le(last) == self.count_less(first),
+            "adversarial stream items must be distinct"
+        );
+        let span = (first.clone(), last.clone());
+        self.push_run(self.len(), span, run_first_id(items), source);
     }
 
-    /// Registers a run that overlaps no fragment as one whole fragment.
-    fn push_run(&mut self, start: u64, lo: Item, hi: Item, source: RunSource) {
-        let count = match &source {
-            RunSource::Stored(items) => items.len() as u64,
-            RunSource::Generated(g) => g.count(),
-        };
+    /// Registers a run spanning `lo..=hi` that overlaps no fragment as
+    /// one whole fragment, and in the id directory when its ids run
+    /// consecutively from `first_id` and above every entry's.
+    fn push_run(
+        &mut self,
+        start: u64,
+        (lo, hi): (Item, Item),
+        first_id: Option<u32>,
+        source: RunSource,
+    ) {
+        let (count, run) = (source.count(), self.runs.len() as u32);
         self.tree.insert_fragment(Fragment {
             lo,
             hi,
             count,
-            run: self.runs.len() as u32,
+            run,
             base: 0,
         });
-        self.runs.push(Run { start, source });
-        self.len += count;
+        let end = first_id.and_then(|first| u32::try_from(u64::from(first) + count).ok());
+        if let Some((first, end)) = first_id.zip(end) {
+            if self.by_id.last().is_none_or(|last| last.end <= first) {
+                self.by_id.push(IdRange { first, end, run });
+            }
+        }
+        self.runs.push(Run {
+            start,
+            first_id,
+            source,
+        });
     }
 
     /// Whether one more run can be registered without overflowing the
@@ -269,23 +301,18 @@ impl RunOrder {
     /// it: `Ok(in-run index)` when `q` is a stream item, else `Err(run
     /// items below q)`, as [`slice::binary_search`] reports it.
     ///
-    /// The cache answers stream items in O(1); everything else pays the
-    /// run source's lookup, and a stream item found that way is cached
-    /// for next time. A missing run (never on a well-formed index)
-    /// degrades to "nothing of the fragment below `q`".
+    /// An item of the run answers from its id in O(1); everything else
+    /// pays the run source's lookup. A missing run (never on a
+    /// well-formed index) degrades to "nothing of the fragment below `q`".
     fn position_in(&self, f: &Fragment<Item>, q: &Item) -> Result<u64, u64> {
         let Some(run) = self.runs.get(f.run as usize) else {
             return Err(f.base);
         };
         let end = f.base + f.count;
-        let cached = q
-            .arena_id()
-            .and_then(|id| self.cache.get(id))
-            .and_then(|tag| tag.checked_sub(run.start));
-        if let Some(idx) = cached.filter(|&idx| idx >= f.base && idx < end) {
+        if let Some(idx) = run.index_by_id(q).filter(|&idx| idx >= f.base && idx < end) {
             return Ok(idx);
         }
-        let pos = match &run.source {
+        match &run.source {
             RunSource::Stored(items) => {
                 let span = usize::try_from(f.base)
                     .ok()
@@ -300,11 +327,7 @@ impl RunOrder {
                 }
             }
             RunSource::Generated(g) => g.position(q.label()),
-        };
-        if let (Ok(idx), Some(id)) = (pos, q.arena_id()) {
-            self.cache.set(id, run.start + idx);
         }
-        pos
     }
 
     /// How many stream items compare `<= q`, for the probe whose
@@ -338,9 +361,21 @@ impl RunOrder {
         self.le_at(&self.tree.locate(q), q)
     }
 
-    /// The arrival tag of `q` if the cache holds it — no tree descent.
-    fn cached_tag(&self, q: &Item) -> Option<u64> {
-        self.cache.get(q.arena_id()?)
+    /// The arrival tag of `q` if its id falls in a directory entry — no
+    /// tree descent. The search tries `slot`, the previous answer's
+    /// entry, first (a batch's queries mostly ask about one run), and
+    /// leaves this answer's entry there.
+    fn tag_by_id(&self, q: &Item, slot: &mut usize) -> Option<u64> {
+        let id = q.arena_id()?;
+        let holds = |slot: usize| self.by_id.get(slot).filter(|r| r.first <= id && id < r.end);
+        let range = match holds(*slot) {
+            Some(range) => range,
+            None => {
+                *slot = self.by_id.partition_point(|r| r.end <= id);
+                holds(*slot)?
+            }
+        };
+        Some(self.runs.get(range.run as usize)?.start + u64::from(id - range.first))
     }
 
     /// The arrival tag of the probe whose fragment search ended at `l`,
@@ -353,7 +388,7 @@ impl RunOrder {
 
     /// The arrival tag of stream item `q`, if `q` is in the stream.
     pub(crate) fn tag_of(&self, q: &Item) -> Option<u64> {
-        self.cached_tag(q)
+        self.tag_by_id(q, &mut 0)
             .or_else(|| self.tag_at(&self.tree.locate(q), q))
     }
 
@@ -398,8 +433,8 @@ impl RunOrder {
 
     /// Batched [`Self::count_le`] over label-sorted queries, owned or
     /// borrowed: one [`RunTree::multi_locate`] walk finds every query's
-    /// fragment, and the in-fragment offsets come from the cache. `out`
-    /// is cleared first; `out[i]` answers `qs[i]`.
+    /// fragment, and the in-fragment offsets come from the items' ids.
+    /// `out` is cleared first; `out[i]` answers `qs[i]`.
     pub(crate) fn multi_count_le<Q: Borrow<Item>>(&self, qs: &[Q], out: &mut Vec<usize>) {
         let mut found = Vec::with_capacity(qs.len());
         self.tree.multi_locate(qs, &mut found);
@@ -412,13 +447,14 @@ impl RunOrder {
     }
 
     /// Batched [`Self::tag_of`] over label-sorted queries, owned or
-    /// borrowed. Cached items resolve without touching the tree; only
-    /// when some query misses does one [`RunTree::multi_locate`] walk
-    /// run, and it resolves every miss. `out` is cleared first; `out[i]`
-    /// answers `qs[i]`.
+    /// borrowed. Items in the id directory resolve without touching the
+    /// tree; only when some query misses it does one
+    /// [`RunTree::multi_locate`] walk run, and it resolves every miss.
+    /// `out` is cleared first; `out[i]` answers `qs[i]`.
     pub(crate) fn multi_tag_of<Q: Borrow<Item>>(&self, qs: &[Q], out: &mut Vec<Option<u64>>) {
         out.clear();
-        out.extend(qs.iter().map(|q| self.cached_tag(q.borrow())));
+        let mut slot = 0;
+        out.extend(qs.iter().map(|q| self.tag_by_id(q.borrow(), &mut slot)));
         if out.iter().all(Option::is_some) {
             return;
         }
@@ -455,7 +491,53 @@ impl RunOrder {
 /// query; a sorted vector is correct by inspection.
 #[cfg(test)]
 pub(crate) mod model {
-    use cqs_universe::Item;
+    use cqs_universe::{Item, LabelArena};
+
+    /// The arena-id shapes a stream's runs come in. The index must give
+    /// the same answers for each; only the path to them differs.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Ids {
+        /// Sealed runs: item `j` of a run carries id `first + j`.
+        Sealed,
+        /// Items minted one at a time with unrelated mints between.
+        Scattered,
+        /// Runs sealed in reverse order, so each run after the first has
+        /// lower ids than one already indexed: out of the id directory.
+        Reversed,
+        /// Sealed runs, queried through fresh re-mints matching no id.
+        Reminted,
+    }
+
+    pub(crate) const ID_SHAPES: [Ids; 4] =
+        [Ids::Sealed, Ids::Scattered, Ids::Reversed, Ids::Reminted];
+
+    /// The sealed runs `runs`, in indexing order, re-minted in shape
+    /// `ids`: the runs to index, and the same labels as queries see them.
+    pub(crate) fn reshape(runs: &[Vec<Item>], ids: Ids) -> (Vec<Vec<Item>>, Vec<Vec<Item>>) {
+        let each = |runs: &[Vec<Item>], f: &dyn Fn(&Item) -> Item| -> Vec<Vec<Item>> {
+            runs.iter().map(|run| run.iter().map(f).collect()).collect()
+        };
+        let remint = |it: &Item| Item::from_label(it.label().to_vec());
+        let mut indexed = match ids {
+            Ids::Sealed | Ids::Reminted | Ids::Reversed => runs.to_vec(),
+            Ids::Scattered => each(runs, &|it| {
+                let _unrelated = remint(it);
+                remint(it)
+            }),
+        };
+        if let Ids::Reversed = ids {
+            let mut arena = LabelArena::new();
+            for run in indexed.iter_mut().rev() {
+                run.iter().for_each(|it| arena.push_label(it.label()));
+                *run = arena.seal();
+            }
+        }
+        let queried = match ids {
+            Ids::Reminted => each(&indexed, &remint),
+            _ => indexed.clone(),
+        };
+        (indexed, queried)
+    }
 
     /// Distinct items with their arrival tags, in label order.
     #[derive(Default)]
@@ -522,7 +604,7 @@ pub(crate) mod model {
 
 #[cfg(test)]
 mod tests {
-    use super::model::SortedModel;
+    use super::model::{reshape, Ids, SortedModel, ID_SHAPES};
     use super::*;
     use crate::rng::SplitMix64;
     use cqs_universe::generate_increasing;
@@ -537,6 +619,14 @@ mod tests {
 
     const KINDS: [Kind; 2] = [Kind::Stored, Kind::Generated];
 
+    /// The run source of `kind` for `items`, minted inside `iv`.
+    fn source(kind: Kind, iv: &Interval, items: &[Item]) -> RunSource {
+        match kind {
+            Kind::Stored => RunSource::Stored(items.into()),
+            Kind::Generated => RunSource::Generated(RunGenerator::of_run(iv, items)),
+        }
+    }
+
     /// Appends a fresh run of `n` items minted inside `iv` to both the
     /// reference model (tags continuing from its length) and `imp`.
     fn feed(
@@ -548,51 +638,73 @@ mod tests {
     ) -> Vec<Item> {
         let items = generate_increasing(iv, n);
         for it in &items {
-            let tag = mat.len() as u64;
-            mat.insert_tagged(it.clone(), tag);
+            mat.insert_tagged(it.clone(), mat.len() as u64);
         }
-        let source = match kind {
-            Kind::Stored => RunSource::Stored(items.clone().into()),
-            Kind::Generated => RunSource::Generated(RunGenerator::new(iv, n as u64)),
-        };
-        imp.insert_run(iv, &items, source);
+        imp.insert_run(iv, &items, source(kind, iv, &items));
         items
     }
 
-    /// Builds the same stream both ways: the reference model and a
-    /// run-fragment index of `kind` runs, from a root run refined in the
-    /// adversary's pattern (mint between order-adjacent items).
-    fn build_both(kind: Kind, root_n: usize, leaf_n: usize) -> (SortedModel, RunOrder) {
-        build_both_with(RunOrder::new(), kind, root_n, leaf_n)
-    }
-
-    /// [`build_both`] into a caller-configured index.
-    fn build_both_with(
-        mut imp: RunOrder,
-        kind: Kind,
-        root_n: usize,
-        leaf_n: usize,
-    ) -> (SortedModel, RunOrder) {
-        let mut mat = SortedModel::new();
-        let root = feed(&mut mat, &mut imp, kind, &Interval::whole(), root_n);
+    /// A root run refined in the adversary's pattern (mint between
+    /// order-adjacent items), as `(interval, run)` in arrival order.
+    fn refined_runs(root_n: usize, leaf_n: usize) -> Vec<(Interval, Vec<Item>)> {
+        let root = generate_increasing(&Interval::whole(), root_n);
         // Refine between two order-adjacent items in the middle.
         let m = root_n / 2;
         let iv1 = Interval::open(root[m].clone(), root[m + 1].clone());
-        let left = feed(&mut mat, &mut imp, kind, &iv1, leaf_n);
+        let left = generate_increasing(&iv1, leaf_n);
         // And again inside the new run (order-adjacent pair of it).
         let iv2 = Interval::open(left[0].clone(), left[1].clone());
-        feed(&mut mat, &mut imp, kind, &iv2, leaf_n);
+        let inner = generate_increasing(&iv2, leaf_n);
         // Also refine at a fragment boundary: just above the root max.
         let iv3 = Interval::new(Endpoint::Finite(root[root_n - 1].clone()), Endpoint::PosInf);
-        feed(&mut mat, &mut imp, kind, &iv3, leaf_n);
+        let top = generate_increasing(&iv3, leaf_n);
+        vec![
+            (Interval::whole(), root),
+            (iv1, left),
+            (iv2, inner),
+            (iv3, top),
+        ]
+    }
+
+    /// Builds the same refined stream both ways: the reference model,
+    /// over the items as queries see them, and a run-fragment index of
+    /// `kind` runs whose ids have shape `ids`.
+    fn build_both(kind: Kind, ids: Ids, root_n: usize, leaf_n: usize) -> (SortedModel, RunOrder) {
+        let (ivs, runs): (Vec<Interval>, Vec<Vec<Item>>) =
+            refined_runs(root_n, leaf_n).into_iter().unzip();
+        let (indexed, queried) = reshape(&runs, ids);
+        let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
+        for ((iv, run), seen) in ivs.iter().zip(&indexed).zip(queried) {
+            for it in seen {
+                mat.insert_tagged(it, mat.len() as u64);
+            }
+            imp.insert_run(iv, run, source(kind, iv, run));
+        }
         (mat, imp)
     }
 
     #[test]
     fn matches_materialized_treap_on_refined_stream() {
+        // Sealed runs answer from their ids.
         for kind in KINDS {
-            let (mat, imp) = build_both(kind, 32, 8);
+            let (mat, imp) = build_both(kind, Ids::Sealed, 32, 8);
             assert_matches_materialized(&mat, &imp);
+        }
+    }
+
+    #[test]
+    fn cache_collisions_keep_answers_correct() {
+        // Scattered, reversed and re-minted items miss the id lookup, as
+        // colliding or evicted ids once missed a tag cache: their answers
+        // come from the binary search over stored items or the generator
+        // descent.
+        for kind in KINDS {
+            for ids in [Ids::Scattered, Ids::Reversed, Ids::Reminted] {
+                let (mat, imp) = build_both(kind, ids, 32, 8);
+                assert_matches_materialized(&mat, &imp);
+                // A second pass finds the index as the first left it.
+                assert_matches_materialized(&mat, &imp);
+            }
         }
     }
 
@@ -626,7 +738,7 @@ mod tests {
     #[test]
     fn replay_visits_identical_items_and_tags() {
         for kind in KINDS {
-            let (mat, imp) = build_both(kind, 16, 4);
+            let (mat, imp) = build_both(kind, Ids::Sealed, 16, 4);
             let a: Vec<(Vec<u8>, u64)> = mat
                 .tagged()
                 .iter()
@@ -641,11 +753,11 @@ mod tests {
     #[test]
     fn fresh_remints_resolve_without_memo() {
         for kind in KINDS {
-            let (mat, imp) = build_both(kind, 16, 4);
+            let (mat, imp) = build_both(kind, Ids::Sealed, 16, 4);
             for (it, t) in mat.tagged() {
-                // A brand-new mint of the same label: different arena id,
-                // so every cache lookup misses and the run source must
-                // produce the same answers.
+                // A brand-new mint of the same label: its arena id is in
+                // no run, so the tree and the run source must produce the
+                // same answers.
                 let fresh = Item::from_label(it.label().to_vec());
                 assert_eq!(imp.tag_of(&fresh), Some(*t));
                 assert_eq!(imp.count_less(&fresh), mat.count_less(it) as u64);
@@ -656,10 +768,10 @@ mod tests {
     #[test]
     fn multi_queries_match_scalar_queries() {
         for kind in KINDS {
-            let (mat, imp) = build_both(kind, 16, 4);
+            let (mat, imp) = build_both(kind, Ids::Sealed, 16, 4);
             let qs: Vec<Item> = mat.tagged().iter().map(|(it, _)| it.clone()).collect();
-            // Probes between adjacent items, and fresh re-mints that miss
-            // the cache, ride in the same sorted batch.
+            // Probes between adjacent items, and fresh re-mints whose ids
+            // are in no run, ride in the same sorted batch.
             let mut batch: Vec<Item> = Vec::new();
             for w in qs.windows(2) {
                 batch.push(w[0].clone());
@@ -676,7 +788,8 @@ mod tests {
                 assert_eq!(les[i] as u64, imp.count_le(q));
                 assert_eq!(les[i], mat.count_le(q));
             }
-            // Whole-cache hits skip the walk and still answer in order.
+            // Batches the id directory answers whole skip the walk and
+            // still answer in order.
             imp.multi_tag_of(&qs, &mut tags);
             for (i, q) in qs.iter().enumerate() {
                 assert_eq!(tags[i], mat.tag_of(q));
@@ -685,35 +798,14 @@ mod tests {
     }
 
     #[test]
-    fn cache_collisions_keep_answers_correct() {
-        // One and four slots: nearly every lookup collides with, or was
-        // evicted by, another id, so answers come from the run sources —
-        // the binary search over stored items, or the generator descent.
-        for kind in KINDS {
-            for cap in [1, 4] {
-                let (mat, imp) = build_both_with(RunOrder::with_cache_capacity(cap), kind, 32, 8);
-                assert_matches_materialized(&mat, &imp);
-                // A second pass runs against the re-stored (and
-                // re-evicted) entries of the first.
-                assert_matches_materialized(&mat, &imp);
-            }
-        }
-    }
-
-    #[test]
     fn restore_from_sorted_pairs_matches_reference() {
-        for cap in [None, Some(1), Some(4)] {
-            let (mat, _) = build_both(Kind::Stored, 32, 8);
-            // Fresh mints, as a snapshot decode produces them.
-            let pairs = mat
-                .tagged()
-                .iter()
-                .map(|(it, t)| (Item::from_label(it.label().to_vec()), *t))
-                .collect();
-            let mut imp = RunOrder::from_sorted_tagged(pairs).unwrap();
-            if let Some(cap) = cap {
-                imp.cache = TagCache::with_capacity(cap);
-            }
+        for ids in ID_SHAPES {
+            // The pairs a snapshot holds: the indexed items, in label
+            // order, with their tags.
+            let (mat, built) = build_both(Kind::Stored, ids, 32, 8);
+            let mut pairs = Vec::new();
+            built.for_each_tagged(&mut |it, t| pairs.push((it.clone(), t)));
+            let imp = RunOrder::from_sorted_tagged(pairs).unwrap();
             // Root run, two refinements splitting it and the first leaf,
             // and the run above the maximum: six tag stretches.
             assert_eq!(imp.fragment_count(), 6);
@@ -787,7 +879,7 @@ mod tests {
 
     /// Asserts both batched walks of `imp` against its scalar queries and
     /// against the model, on `queries` plus a fresh re-mint of every
-    /// indexed item (a cache miss, answered by the run source), sorted.
+    /// indexed item (no id match, answered by the run source), sorted.
     fn assert_batches_match(mat: &SortedModel, imp: &RunOrder, queries: &[Item]) {
         let mut qs: Vec<Item> = queries.to_vec();
         qs.extend(
@@ -796,8 +888,6 @@ mod tests {
                 .map(|(it, _)| Item::from_label(it.label().to_vec())),
         );
         qs.sort();
-        // Tags first: the count walk's in-run lookups would warm the
-        // cache for the re-mints.
         let (mut le, mut tags) = (Vec::new(), Vec::new());
         imp.multi_tag_of(&qs, &mut tags);
         imp.multi_count_le(&qs, &mut le);

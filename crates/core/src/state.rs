@@ -30,7 +30,8 @@ pub enum StreamRepr {
     Materialized,
     /// Every run keeps only its interval and count, and replays its mint
     /// on demand, so memory is sublinear in N. The adversary seals leaf
-    /// labels in shared groups for it, sparing the 2³² arena-id space.
+    /// labels in shared groups for it, so a retained item pins a few
+    /// labels, not its whole run.
     Implicit,
 }
 
@@ -190,23 +191,19 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
         );
         let source = match self.repr {
             StreamRepr::Materialized => RunSource::Stored(run.into()),
-            StreamRepr::Implicit => RunSource::Generated(RunGenerator::new(iv, run.len() as u64)),
+            StreamRepr::Implicit => RunSource::Generated(RunGenerator::of_run(iv, run)),
         };
         self.order.insert_run(iv, run, source);
     }
 
-    /// Shared validity checks of the run entry points: strictly
-    /// increasing items whose closed span contains no existing stream
-    /// item. Also folds the run into the label-depth statistic.
+    /// Shared validity check of the run entry points: strictly increasing
+    /// items (the index then checks that their closed span holds no
+    /// stream item). Also folds the run into the label-depth statistic.
     fn validate_run(&mut self, run: &[Item]) {
         assert!(
             run.iter().zip(run.iter().skip(1)).all(|(a, b)| a < b),
             "adversarial stream items must be distinct"
         );
-        if let (Some(first), Some(last)) = (run.first(), run.last()) {
-            let occupied = self.order.count_le(last) - self.order.count_less(first);
-            assert!(occupied == 0, "adversarial stream items must be distinct");
-        }
         for it in run {
             self.max_label_depth = self.max_label_depth.max(it.depth());
         }
@@ -292,17 +289,9 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
 
     /// Number of stream items strictly inside the open interval.
     pub fn count_inside(&self, iv: &Interval) -> u64 {
-        let below_hi = match iv.hi() {
-            Endpoint::PosInf => self.order.len(),
-            Endpoint::Finite(h) => self.order.count_less(h),
-            Endpoint::NegInf => 0,
-        };
-        let upto_lo = match iv.lo() {
-            Endpoint::NegInf => 0,
-            Endpoint::Finite(l) => self.order.count_le(l),
-            Endpoint::PosInf => self.order.len(),
-        };
-        below_hi - upto_lo
+        let (lo, hi) = iv.finite_bounds();
+        let below_hi = hi.map_or(self.order.len(), |h| self.order.count_less(h));
+        below_hi - lo.map_or(0, |l| self.order.count_le(l))
     }
 
     /// The rank of an endpoint within the *restricted substream* of
@@ -312,14 +301,9 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// (list length + 1). This realises Definition 5.1's
     /// `rank_σ̄` including the enclosing boundary items of `I^(ℓ,r)`.
     pub fn rank_in(&self, iv: &Interval, x: &Endpoint) -> u64 {
-        let lo_finite = matches!(iv.lo(), Endpoint::Finite(_));
-        let base = match iv.lo() {
-            Endpoint::NegInf => 0,
-            Endpoint::Finite(l) => self.order.count_le(l),
-            // Interval construction forbids a +inf lower endpoint.
-            // cqs-lint: allow(driver-no-panic)
-            Endpoint::PosInf => unreachable!("interval lo cannot be +inf"),
-        };
+        let lo = iv.finite_bounds().0;
+        let lo_finite = lo.is_some();
+        let base = lo.map_or(0, |l| self.order.count_le(l));
         match x {
             Endpoint::NegInf => 0,
             Endpoint::Finite(it) => {
@@ -347,7 +331,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// sentinel needs only the stream length. `les` is the walk's count
     /// scratch.
     pub fn restricted_ranks_inside(&self, iv: &Interval, les: &mut Vec<usize>, out: &mut Vec<u64>) {
-        let (lo, hi) = finite_bounds(iv);
+        let (lo, hi) = iv.finite_bounds();
         les.clear();
         self.summary.with_items_between(lo, hi, &mut |lent| {
             let mut qs: Vec<&Item> = Vec::with_capacity(lent.len() + 2);
@@ -385,7 +369,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// The `j`-th (0-based) stored item strictly inside `iv`, cloned out
     /// of one loan of the summary's items; `None` past the last.
     pub fn stored_inside_at(&self, iv: &Interval, j: usize) -> Option<Item> {
-        let (lo, hi) = finite_bounds(iv);
+        let (lo, hi) = iv.finite_bounds();
         let mut found = None;
         self.summary.with_items_between(lo, hi, &mut |lent| {
             found = lent.get(j).map(|&it| it.clone())
@@ -394,8 +378,9 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     }
 
     /// Batched [`arrival_of`](Self::arrival_of): arrival tags for a
-    /// *sorted* slice of query items, owned or borrowed: cache hits need
-    /// no walk, and the misses share one fragment walk.
+    /// *sorted* slice of query items, owned or borrowed: items of runs in
+    /// the id directory need no walk, and the rest share one fragment
+    /// walk.
     pub fn multi_arrival_of<Q: Borrow<Item>>(&self, qs: &[Q], out: &mut Vec<Option<u64>>) {
         self.order.multi_tag_of(qs, out);
     }
@@ -421,20 +406,6 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     pub fn rank_error(&self, x: &Item, r: u64) -> u64 {
         self.rank(x).abs_diff(r)
     }
-}
-
-/// The finite endpoints of `iv`, as the summary's range bounds
-/// (`None` for an infinite side).
-fn finite_bounds(iv: &Interval) -> (Option<&Item>, Option<&Item>) {
-    let lo = match iv.lo() {
-        Endpoint::Finite(l) => Some(l),
-        _ => None,
-    };
-    let hi = match iv.hi() {
-        Endpoint::Finite(h) => Some(h),
-        _ => None,
-    };
-    (lo, hi)
 }
 
 /// Verifies the *observable* part of stream indistinguishability
@@ -500,7 +471,7 @@ const LOOKAHEAD: usize = 8;
 /// arena id, or the first item after a deleted stretch longer than the
 /// window — and all misses, still borrowed, resolve in one batched
 /// index lookup ([`StreamState::multi_arrival_of`]), which answers from
-/// the index's own tag cache or its fragment walk. A tag is reused only
+/// the index's run-id directory or its fragment walk. A tag is reused only
 /// on id equality, and equal ids prove the same item, so the window
 /// changes how many items miss, never an answer. The cost per leaf is
 /// O(|I| + new·log N), where `new` counts the items stored since the
@@ -645,7 +616,7 @@ mod tests {
     use super::*;
     use crate::reference::ExactSummary;
     use crate::rng::SplitMix64;
-    use crate::run_order::model::SortedModel;
+    use crate::run_order::model::{reshape, SortedModel, ID_SHAPES};
     use cqs_universe::{between_items, generate_increasing};
 
     fn state_with(n: usize) -> StreamState<ExactSummary<Item>> {
@@ -862,43 +833,47 @@ mod tests {
         }
     }
 
-    /// An implicit stream whose own index cache has `cap` slots.
-    fn implicit_state(cap: usize) -> StreamState<ExactSummary<Item>> {
-        let mut st = StreamState::with_repr(ExactSummary::new(), StreamRepr::Implicit);
-        st.order = RunOrder::with_cache_capacity(cap);
-        st
-    }
-
     #[test]
     fn incremental_checker_matches_reference_on_implicit_streams() {
-        for cap in [1, 4, 1 << 10] {
+        // Both streams refine the same way: a root run, then a run inside
+        // a gap of it, then one above its maximum. ϱ's third run lands in
+        // the next gap up instead, so from then on the arrays keep their
+        // size but disagree on arrival positions.
+        let whole = Interval::whole();
+        let root = generate_increasing(&whole, 16);
+        let ivs = [
+            whole,
+            Interval::open(root[7].clone(), root[8].clone()),
+            Interval::new(Endpoint::Finite(root[15].clone()), Endpoint::PosInf),
+            Interval::open(root[8].clone(), root[9].clone()),
+        ];
+        let mut runs = vec![root];
+        runs.extend(
+            ivs.iter()
+                .skip(1)
+                .zip([8, 4, 4])
+                .map(|(iv, n)| generate_increasing(iv, n)),
+        );
+        for ids in ID_SHAPES {
+            // The index holds the runs in shape `ids`, the summary the
+            // items as queries see them.
+            let (indexed, fed) = reshape(&runs, ids);
             for mut chk in checkers() {
-                // Both streams refine the same way: a root run, then a
-                // run inside a gap of it, then one above its maximum.
-                // ϱ's second run lands one gap higher, so from then on
-                // the arrays keep their size but disagree on arrival
-                // positions.
-                let mut a = implicit_state(cap);
-                let mut b = implicit_state(cap);
-                let whole = Interval::whole();
-                let root = generate_increasing(&whole, 16);
-                a.push_run_in(&whole, &root);
-                b.push_run_in(&whole, &root);
-                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
-                assert!(chk.check(&a, &b).is_ok());
-                let iv = Interval::open(root[7].clone(), root[8].clone());
-                let inner = generate_increasing(&iv, 8);
-                a.push_run_in(&iv, &inner);
-                b.push_run_in(&iv, &inner);
-                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
-                assert!(chk.check(&a, &b).is_ok());
-                let top = Interval::new(Endpoint::Finite(root[15].clone()), Endpoint::PosInf);
-                let tail = generate_increasing(&top, 4);
-                a.push_run_in(&top, &tail);
-                let shifted = Interval::open(root[8].clone(), root[9].clone());
-                b.push_run_in(&shifted, &generate_increasing(&shifted, 4));
-                assert_eq!(chk.check(&a, &b), check_indistinguishable(&a, &b));
-                assert!(chk.check(&a, &b).is_err());
+                let mut a = StreamState::with_repr(ExactSummary::new(), StreamRepr::Implicit);
+                let mut b = StreamState::with_repr(ExactSummary::new(), StreamRepr::Implicit);
+                for (i, ok) in [(0, true), (1, true), (2, false)] {
+                    let j = if ok { i } else { 3 };
+                    a.index_run_in(&ivs[i], &indexed[i]);
+                    a.feed_run(&fed[i]);
+                    b.index_run_in(&ivs[j], &indexed[j]);
+                    b.feed_run(&fed[j]);
+                    assert_eq!(
+                        chk.check(&a, &b),
+                        check_indistinguishable(&a, &b),
+                        "{ids:?}"
+                    );
+                    assert_eq!(chk.check(&a, &b).is_ok(), ok, "{ids:?}");
+                }
             }
         }
     }

@@ -17,15 +17,19 @@
 //! never hands out an item before its chunk is frozen.
 //!
 //! Sealing also assigns each item a fresh **arena id** (a `u32` from a
-//! process-wide mint counter). Ids are globally unique across all
-//! arenas and [`Item::from_label`] mints, and clones share their
-//! original's id — so id equality proves label equality and replaces
-//! the old `Arc::ptr_eq` fast path with a one-word compare that needs
-//! no pointer chase. Ids are *never* observable through the comparison
-//! API: they only ever short-circuit `Ord`/`Eq` toward the verdict the
-//! label bytes would produce anyway, so mint order (which may vary
-//! across thread interleavings of the parallel sweep) cannot influence
-//! any comparison outcome, keeping runs byte-for-byte reproducible.
+//! process-wide mint counter). A sealed run reserves its ids with one
+//! atomic add, so item `j` of a run carries id `first + j`: a run's ids
+//! are consecutive even while other threads seal theirs, and an id
+//! alone tells an index which run an item came from and at which
+//! offset ([`run_first_id`]). Ids are globally unique across all arenas
+//! and [`Item::from_label`] mints, and clones share their original's id
+//! — so id equality proves label equality and gives `Ord`/`Eq` a
+//! one-word fast path that needs no pointer chase. Ids are *never*
+//! observable through the comparison API: they only ever short-circuit
+//! `Ord`/`Eq` toward the verdict the label bytes would produce anyway,
+//! so mint order (which may vary across thread interleavings of the
+//! parallel sweep) cannot influence any comparison outcome, keeping
+//! runs byte-for-byte reproducible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,27 +47,40 @@ pub(crate) const NO_ID: u32 = u32::MAX;
 /// the sentinel.
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Mints a globally unique arena id (or [`NO_ID`] on exhaustion).
+/// Reserves `n` consecutive arena ids with one atomic add; the returned
+/// map gives item `j` of the block its id, or [`NO_ID`] past exhaustion.
 ///
 /// `Relaxed` suffices: ids carry no ordering information — uniqueness
 /// (guaranteed by the atomic read-modify-write) is the only property
 /// the comparison fast path relies on.
-pub(crate) fn mint_id() -> u32 {
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    if id >= u64::from(NO_ID) {
-        NO_ID
-    } else {
-        id as u32
+pub(crate) fn reserve_ids(n: usize) -> impl Fn(usize) -> u32 {
+    let base = NEXT_ID.fetch_add(n as u64, Ordering::Relaxed);
+    move |j| match base.checked_add(j as u64) {
+        Some(id) if id < u64::from(NO_ID) => id as u32,
+        _ => NO_ID,
     }
+}
+
+/// The arena id of `run[0]` when every `run[j]` carries id `run[0] + j`,
+/// as the items of a sealed run do; `None` for an empty run and for any
+/// other id shape, including one with a `NO_ID` item. Since id
+/// equality proves label equality, an item whose id falls in the
+/// returned range *is* the run's item at the id's offset.
+pub fn run_first_id(run: &[Item]) -> Option<u32> {
+    let first = run.first()?.arena_id()?;
+    run.iter()
+        .zip(u64::from(first)..)
+        .all(|(it, id)| it.arena_id().map(u64::from) == Some(id))
+        .then_some(first)
 }
 
 /// Whether the process-wide 32-bit id space has run out: every item
 /// minted from now on carries the [`NO_ID`] sentinel. Comparisons stay
 /// correct (they fall through to the byte-wise path), but callers that
 /// promise typed errors instead of silent degradation — the adversary's
-/// panic-free driver — check this after a minting burst and surface a
-/// `UniverseExhausted` error rather than silently losing the fast path
-/// and the id-keyed equivalence memo.
+/// panic-free driver — check this before each minting burst and surface a
+/// `CapacityExhausted` error rather than silently losing the fast path
+/// and the id-keyed run lookups.
 pub fn ids_exhausted() -> bool {
     NEXT_ID.load(Ordering::Relaxed) >= u64::from(NO_ID)
 }
@@ -119,23 +136,17 @@ impl LabelArena {
         out
     }
 
-    /// [`seal`](Self::seal) into a caller-owned buffer (appends).
+    /// [`seal`](Self::seal) into a caller-owned buffer (appends). The
+    /// run's ids are reserved in one block: item `j` gets `first + j`.
     pub fn seal_into(&mut self, out: &mut Vec<Item>) {
-        let chunk: Arc<[u8]> = Arc::from(self.buf.as_slice());
-        out.reserve(self.ends.len());
-        let mut start = 0usize;
-        for &end in &self.ends {
-            out.push(Item::from_chunk(Arc::clone(&chunk), start, end));
-            start = end;
-        }
-        self.buf.clear();
-        self.ends.clear();
+        self.seal_grouped_into(usize::MAX, out);
     }
 
     /// [`seal_into`](Self::seal_into), but splitting the run across
     /// chunks of at most `group` labels each. Label bytes and push order
     /// are identical to single-chunk sealing — only the chunk boundaries
-    /// differ, and those are invisible to every comparison.
+    /// differ, and those are invisible to every comparison. The ids are
+    /// the same one block.
     ///
     /// This is the sealing mode of the implicit stream representation:
     /// there, a run's items are *transient* (fed to the summary, then
@@ -150,20 +161,24 @@ impl LabelArena {
     pub fn seal_grouped_into(&mut self, group: usize, out: &mut Vec<Item>) {
         assert!(group > 0, "seal group must be non-empty");
         out.reserve(self.ends.len());
+        let id_at = reserve_ids(self.ends.len());
         let mut start = 0usize;
+        let mut j = 0usize;
         for ends in self.ends.chunks(group) {
             let Some(&chunk_end) = ends.last() else {
                 continue;
             };
             let chunk: Arc<[u8]> = Arc::from(&self.buf[start..chunk_end]);
-            let base = start;
+            let chunk_start = start;
             for &end in ends {
                 out.push(Item::from_chunk(
                     Arc::clone(&chunk),
-                    start - base,
-                    end - base,
+                    start - chunk_start,
+                    end - chunk_start,
+                    id_at(j),
                 ));
                 start = end;
+                j += 1;
             }
         }
         self.buf.clear();
@@ -217,6 +232,35 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_seals_keep_each_run_consecutive() {
+        // Four threads seal runs at once, plain and grouped: every run's
+        // ids stay one block, and no id repeats anywhere.
+        let seal_runs = |t: u8| {
+            let mut arena = LabelArena::new();
+            let mut ids = Vec::new();
+            for r in 0..200u8 {
+                (1..=40u8).for_each(|b| arena.push_label(&[t + 1, r, b]));
+                let mut run = Vec::new();
+                arena.seal_grouped_into([usize::MAX, 7][usize::from(r % 2)], &mut run);
+                let first = run_first_id(&run).expect("one id block per run");
+                ids.extend(first..first + 40);
+            }
+            ids
+        };
+        let mut ids: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|t| s.spawn(move || seal_runs(t))).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let minted = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), minted, "an id was minted twice");
+    }
+
+    #[test]
     fn empty_run_seals_to_no_items() {
         let mut arena = LabelArena::new();
         assert!(arena.seal().is_empty());
@@ -238,6 +282,7 @@ mod tests {
                 assert_eq!(it.label(), l.as_slice());
             }
             assert!(grouped.windows(2).all(|w| w[0] < w[1]));
+            assert!(run_first_id(&grouped).is_some(), "one id block per run");
         }
     }
 

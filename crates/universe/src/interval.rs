@@ -133,6 +133,12 @@ impl Interval {
         &self.hi
     }
 
+    /// The finite endpoints, as range bounds (`None` for an infinite
+    /// side).
+    pub fn finite_bounds(&self) -> (Option<&Item>, Option<&Item>) {
+        (self.lo.as_item(), self.hi.as_item())
+    }
+
     /// Open-interval membership.
     pub fn contains(&self, item: &Item) -> bool {
         self.lo.cmp_item(item) == Ordering::Less && self.hi.cmp_item(item) == Ordering::Greater

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::arena::{mint_id, NO_ID};
+use crate::arena::{reserve_ids, NO_ID};
 
 /// An element of the totally ordered universe.
 ///
@@ -33,11 +33,11 @@ use crate::arena::{mint_id, NO_ID};
 ///   order of the labels; if they agree, the labels agree on their
 ///   first `min(8, len)` bytes and only the tail needs a byte-wise
 ///   tiebreak.
-/// * `id` — a globally unique arena id. Clones share their original's
-///   id, so `id` equality proves the labels are the same and yields
-///   `Equal` without touching memory — the arena-layout replacement for
-///   the old `Arc::ptr_eq` fast path. Inequality of ids proves nothing
-///   and falls through. The [`NO_ID`] sentinel (minted only after id
+/// * `id` — a globally unique arena id; a sealed run's items carry
+///   consecutive ones. Clones share their original's id, so `id`
+///   equality proves the labels are the same and yields `Equal` without
+///   touching memory. Inequality of ids proves nothing and falls
+///   through. The [`NO_ID`] sentinel (minted only after id
 ///   exhaustion) is excluded from the fast path entirely.
 ///
 /// The observable semantics are exactly the derived ones on the label
@@ -140,20 +140,28 @@ impl Item {
     /// items. Run minting goes through [`LabelArena`](crate::LabelArena)
     /// instead, which packs a whole run into one chunk.
     pub fn from_label(label: Vec<u8>) -> Self {
-        let chunk: Arc<[u8]> = label.into();
-        let end = chunk.len();
-        Self::from_chunk(chunk, 0, end)
+        Self::from_label_with_id(label, reserve_ids(1)(0))
     }
 
-    /// An item viewing `chunk[start..end]`. The chunk must already be
-    /// frozen (no mutable access can exist behind an `Arc<[u8]>`).
+    /// [`from_label`](Self::from_label) with the arena id `id`, which the
+    /// caller guarantees belongs to an item with this very label — a
+    /// replay of a sealed run re-minting its item with the item's id.
+    pub(crate) fn from_label_with_id(label: Vec<u8>, id: u32) -> Self {
+        let chunk: Arc<[u8]> = label.into();
+        let end = chunk.len();
+        Self::from_chunk(chunk, 0, end, id)
+    }
+
+    /// An item with arena id `id` viewing `chunk[start..end]`. The chunk
+    /// must already be frozen (no mutable access can exist behind an
+    /// `Arc<[u8]>`).
     ///
     /// # Panics
     ///
     /// Panics if the slice bounds are out of range or exceed the `u32`
     /// offset space (a single chunk holds one minted run; runs are
     /// nowhere near 4 GiB).
-    pub(crate) fn from_chunk(chunk: Arc<[u8]>, start: usize, end: usize) -> Self {
+    pub(crate) fn from_chunk(chunk: Arc<[u8]>, start: usize, end: usize, id: u32) -> Self {
         assert!(
             start <= end && end <= chunk.len(),
             "chunk slice out of range"
@@ -163,7 +171,7 @@ impl Item {
         let key = prefix_key(&chunk[start..end]);
         Item {
             key,
-            id: mint_id(),
+            id,
             off,
             len,
             chunk,
@@ -185,8 +193,9 @@ impl Item {
     /// The item's arena id, if it carries a real one (`None` for the
     /// post-exhaustion [`NO_ID`] sentinel). Ids are globally unique and
     /// id equality proves label equality, so adversary-side bookkeeping
-    /// (e.g. the equivalence checker's arrival-tag memo) may use the id
-    /// as a stable identity key. Like [`label`](Self::label), this is
+    /// (e.g. the equivalence checker's previous-pass match) may use the id
+    /// as a stable identity key, and a sealed run's consecutive ids
+    /// locate an item inside its run. Like [`label`](Self::label), this is
     /// adversary-side introspection only — summaries stay generic over
     /// `T: Ord + Clone` and physically cannot observe it.
     pub fn arena_id(&self) -> Option<u32> {

@@ -11,8 +11,6 @@
 //! then either take a middle digit or recurse with the low label's tail
 //! against +∞.
 
-use crate::interval::Endpoint;
-
 const HALF: u8 = 128;
 
 /// Returns a label strictly between `a` and `b`, where `None` on the low
@@ -70,21 +68,6 @@ pub(crate) fn between_labels_into(a: Option<&[u8]>, b: Option<&[u8]>, out: &mut 
     if let Some(b) = b {
         debug_assert!(out.as_slice() < b);
     }
-}
-
-/// Returns a fresh label strictly inside the open interval `(lo, hi)`.
-pub fn label_in(lo: &Endpoint, hi: &Endpoint) -> Vec<u8> {
-    let a = match lo {
-        Endpoint::NegInf => None,
-        Endpoint::Finite(item) => Some(item.label()),
-        Endpoint::PosInf => panic!("interval low endpoint cannot be +inf"),
-    };
-    let b = match hi {
-        Endpoint::PosInf => None,
-        Endpoint::Finite(item) => Some(item.label()),
-        Endpoint::NegInf => panic!("interval high endpoint cannot be -inf"),
-    };
-    between_labels(a, b)
 }
 
 /// Midpoint between `a` (empty slice = −∞ side, i.e. all-zero padding)

@@ -41,10 +41,10 @@ mod item;
 mod label;
 mod rungen;
 
-pub use arena::{ids_exhausted, LabelArena};
+pub use arena::{ids_exhausted, run_first_id, LabelArena};
 pub use interval::{Endpoint, Interval};
 pub use item::Item;
-pub use label::{between_labels, label_in};
+pub use label::between_labels;
 pub use rungen::RunGenerator;
 
 /// Produces a fresh item strictly between `a` and `b`.
@@ -76,41 +76,47 @@ pub fn generate_increasing(interval: &Interval, n: usize) -> Vec<Item> {
 /// (same balanced subdivision, same byte-identical labels) without
 /// sealing, so a caller batching several runs can share one chunk.
 pub fn generate_labels_into(interval: &Interval, n: usize, arena: &mut LabelArena) {
-    let lo = match interval.lo() {
-        Endpoint::NegInf => None,
-        Endpoint::Finite(item) => Some(item.label()),
-        Endpoint::PosInf => panic!("interval low endpoint cannot be +inf"),
-    };
-    let hi = match interval.hi() {
-        Endpoint::PosInf => None,
-        Endpoint::Finite(item) => Some(item.label()),
-        Endpoint::NegInf => panic!("interval high endpoint cannot be -inf"),
-    };
-    // Validate the run's outer endpoints ONCE; the subdivision below
-    // maintains the invariants by induction, so the per-label midpoint
-    // calls can skip the O(label depth) re-checks.
-    for side in [lo, hi].into_iter().flatten() {
-        assert!(!side.is_empty(), "finite label must be non-empty");
-        assert!(
-            side.last().is_some_and(|b| *b != 0),
-            "label must not end in 0x00"
-        );
-    }
-    if let (Some(a), Some(b)) = (lo, hi) {
-        assert!(a < b, "generate requires lo < hi, got {a:?} !< {b:?}");
-    }
+    let (lo, hi) = mint_bounds(interval);
     // Midpoint buffer pool: the subdivision holds at most O(log n) mid
     // labels alive at once (one per recursion level), so a run of n
     // mints costs O(log n) buffer allocations instead of n.
     let mut pool: Vec<Vec<u8>> = Vec::new();
-    fill_labels(lo, hi, n, arena, &mut pool);
+    fill_labels(
+        lo.map(Item::label),
+        hi.map(Item::label),
+        n,
+        arena,
+        &mut pool,
+    );
+}
+
+/// The finite endpoints of a mint interval (`None` for an infinite
+/// side), with their labels checked once for what the subdivision
+/// needs: non-empty, and not ending in `0x00` (`Interval` already
+/// guarantees `lo < hi`). The subdivision keeps both by induction, so
+/// the per-label midpoint calls skip the O(label depth) re-checks.
+///
+/// # Panics
+///
+/// Panics if a finite endpoint's label is empty or ends in `0x00`.
+fn mint_bounds(interval: &Interval) -> (Option<&Item>, Option<&Item>) {
+    let (lo, hi) = interval.finite_bounds();
+    for side in [lo, hi].into_iter().flatten() {
+        let label = side.label();
+        assert!(!label.is_empty(), "finite label must be non-empty");
+        assert!(
+            label.last().is_some_and(|b| *b != 0),
+            "label must not end in 0x00"
+        );
+    }
+    (lo, hi)
 }
 
 /// [`generate_increasing`] with grouped chunk sealing: byte-identical
 /// labels in the same order, but split across chunks of at most `group`
-/// labels each (see [`LabelArena::seal_grouped_into`]). The implicit
-/// stream representation feeds summaries through this entry point so a
-/// retained item pins O(`group`) label bytes instead of a whole run.
+/// labels each (see [`LabelArena::seal_grouped_into`]), so a retained
+/// item pins O(`group`) label bytes instead of a whole run — the sealing
+/// of runs fed to the implicit stream representation.
 pub fn generate_increasing_grouped(interval: &Interval, n: usize, group: usize) -> Vec<Item> {
     let mut arena = LabelArena::new();
     generate_labels_into(interval, n, &mut arena);

@@ -23,7 +23,7 @@
 //! representation drop O(N) stored items without changing a single
 //! observable comparison outcome.
 
-use crate::interval::Endpoint;
+use crate::arena::run_first_id;
 use crate::item::Item;
 use crate::label::between_labels_into;
 use crate::Interval;
@@ -36,6 +36,9 @@ pub struct RunGenerator {
     lo: Option<Item>,
     hi: Option<Item>,
     count: u64,
+    /// Arena id of the replayed run's item 0, when its ids are
+    /// consecutive: re-mints then carry their original's id.
+    first_id: Option<u32>,
 }
 
 impl RunGenerator {
@@ -46,30 +49,33 @@ impl RunGenerator {
     ///
     /// Panics on the same endpoint violations
     /// [`crate::generate_labels_into`] rejects: an empty or
-    /// trailing-`0x00` finite label, or `lo >= hi`.
+    /// trailing-`0x00` finite label.
     pub fn new(interval: &Interval, count: u64) -> Self {
-        let lo = match interval.lo() {
-            Endpoint::NegInf => None,
-            Endpoint::Finite(item) => Some(item.clone()),
-            Endpoint::PosInf => panic!("interval low endpoint cannot be +inf"),
-        };
-        let hi = match interval.hi() {
-            Endpoint::PosInf => None,
-            Endpoint::Finite(item) => Some(item.clone()),
-            Endpoint::NegInf => panic!("interval high endpoint cannot be -inf"),
-        };
-        for side in [&lo, &hi].into_iter().flatten() {
-            let label = side.label();
-            assert!(!label.is_empty(), "finite label must be non-empty");
-            assert!(
-                label.last().is_some_and(|b| *b != 0),
-                "label must not end in 0x00"
-            );
+        let (lo, hi) = crate::mint_bounds(interval);
+        RunGenerator {
+            lo: lo.cloned(),
+            hi: hi.cloned(),
+            count,
+            first_id: None,
         }
-        if let (Some(a), Some(b)) = (&lo, &hi) {
-            assert!(a < b, "run generator requires lo < hi");
-        }
-        RunGenerator { lo, hi, count }
+    }
+
+    /// The generator replaying `run`, the items the balanced subdivision
+    /// minted inside `interval`. When the run's ids are consecutive, as a
+    /// sealed run's are ([`run_first_id`]), [`item_at`](Self::item_at)
+    /// re-mints item `j` with the original's id. Panics as
+    /// [`new`](Self::new); debug builds also check the replay's first
+    /// and last labels against the run's.
+    pub fn of_run(interval: &Interval, run: &[Item]) -> Self {
+        let mut gen = Self::new(interval, run.len() as u64);
+        gen.first_id = run_first_id(run);
+        debug_assert!(
+            run.first().zip(run.last()).is_none_or(|(a, z)| {
+                gen.label_at(0) == a.label() && gen.label_at(gen.count - 1) == z.label()
+            }),
+            "run generator does not replay its run"
+        );
+        gen
     }
 
     /// Number of virtual items in the run.
@@ -117,12 +123,17 @@ impl RunGenerator {
         }
     }
 
-    /// [`label_at`](Self::label_at) wrapped into a freshly minted
-    /// [`Item`]. The mint gets its own arena id, but it compares equal
-    /// to any other materialization of the same virtual item — equality
-    /// is decided by the label bytes.
+    /// [`label_at`](Self::label_at) wrapped into an [`Item`] that
+    /// compares equal to any other materialization of the same virtual
+    /// item. A generator built [`of_run`](Self::of_run) a sealed run
+    /// gives it the original's arena id; otherwise it gets a fresh one.
     pub fn item_at(&self, j: u64) -> Item {
-        Item::from_label(self.label_at(j))
+        let label = self.label_at(j);
+        match self.first_id {
+            // Every id of the run is valid, so `first + j` cannot overflow.
+            Some(first) => Item::from_label_with_id(label, first + j as u32),
+            None => Item::from_label(label),
+        }
     }
 
     /// Where `q` falls in the run, in the shape of
@@ -175,11 +186,13 @@ impl std::fmt::Debug for RunGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate_increasing;
+    use crate::{generate_increasing, Endpoint};
+    use std::hash::BuildHasher;
 
     fn check_against_materialized(iv: &Interval, n: u64) {
         let items = generate_increasing(iv, n as usize);
-        let gen = RunGenerator::new(iv, n);
+        let gen = RunGenerator::of_run(iv, &items);
+        let hasher = std::hash::RandomState::new();
         assert_eq!(gen.count(), n);
         for (j, it) in items.iter().enumerate() {
             assert_eq!(
@@ -188,7 +201,11 @@ mod tests {
                 "label_at({j}) diverged from materialized run"
             );
             assert_eq!(gen.position(it.label()), Ok(j as u64));
-            assert_eq!(gen.item_at(j as u64), *it);
+            // A re-mint is the original: same id, equal, same hash.
+            let re = gen.item_at(j as u64);
+            let hashes = (hasher.hash_one(&re), hasher.hash_one(it));
+            assert_eq!((re.arena_id(), hashes.0), (it.arena_id(), hashes.1));
+            assert_eq!((re.cmp(it), &re), (std::cmp::Ordering::Equal, it));
         }
         // Probes strictly between adjacent run items.
         for w in items.windows(2) {

@@ -227,3 +227,12 @@ fn summary_ingest_stream_costs_at_most_14_comparisons_per_item() {
     assert!(per_item <= 14.0, "{per_item} comparisons per item");
     assert_eq!(cmps, 3_275_667);
 }
+
+/// Item and tuple sizes, pinned: every comparison reads an `Item`, and
+/// `GkTuple<Item>`'s size sets how many tuples share a cache line.
+#[test]
+fn item_and_tuple_sizes_are_pinned() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<cqs_universe::Item>(), 40);
+    assert_eq!(size_of::<cqs_gk::GkTuple<cqs_universe::Item>>(), 56);
+}
