@@ -100,9 +100,27 @@ large_n_smoke() {
     # at a size whose stored runs would need more than 10 GB.
     local root=target/large-n-smoke
     rm -rf "$root"
+    mkdir -p "$root"
     CQS_RESULTS_DIR="$root/base" \
         cargo run --release -q -p cqs-bench --bin thm22_lower_bound_sweep -- \
-            --large-n --smoke --jobs 1
+            --large-n --smoke --jobs 1 2>&1 | tee "$root/base.log"
+    # Memory ceiling: an implicit stream's index keeps O(#fragments +
+    # runs) items that pin their own labels only, and retained items pin
+    # a seal group of 8, so this cell peaks under 200 MB; an index that
+    # pins whole seal groups again (780 MB) fails here.
+    local peak_kb
+    peak_kb=$(sed -n 's/^\[thm22\] peak RSS: \([0-9][0-9]*\) kB$/\1/p' "$root/base.log")
+    if grep -q '^\[thm22\] peak RSS: unmeasured$' "$root/base.log"; then
+        echo "large-n smoke: no /proc here, memory ceiling not checked" >&2
+    elif [[ -z "$peak_kb" ]]; then
+        echo "large-n smoke: the sweep printed no peak RSS line" >&2
+        exit 1
+    elif (( peak_kb > 400 * 1024 )); then
+        echo "large-n smoke: peak RSS ${peak_kb} kB exceeds the 400 MB ceiling" >&2
+        exit 1
+    else
+        echo "large-n smoke: peak RSS ${peak_kb} kB (ceiling 400 MB)"
+    fi
     local code=0
     CQS_CRASH_AFTER_CELLS=1 CQS_RESULTS_DIR="$root/crashed" \
         cargo run --release -q -p cqs-bench --bin thm22_lower_bound_sweep -- \

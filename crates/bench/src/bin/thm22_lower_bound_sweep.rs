@@ -33,6 +33,12 @@
 //! `results/thm22_large_n_sweep.csv`. `--large-n --smoke` is the single
 //! N ≈ 1.34e8 cell the CI crash/resume leg byte-diffs.
 //!
+//! On exit the process's peak resident set (`VmHWM` from
+//! `/proc/self/status`) goes to stderr as `[thm22] peak RSS: <n> kB`, or
+//! `[thm22] peak RSS: unmeasured` where `/proc` is absent — never into
+//! the CSV, which must stay byte-identical across runs. `./ci.sh
+//! --large-n` holds the smoke cell to a ceiling with it.
+//!
 //! Run: `cargo run -p cqs-bench --release --bin thm22_lower_bound_sweep`
 //!      `[-- [--jobs N] [--smoke] [--large-n] [--resume DIR]]`
 //! (`--jobs 0` or absent = available parallelism; `--smoke` runs a
@@ -144,7 +150,18 @@ fn main() -> ExitCode {
             println!("  {s}");
         }
     }
+    match peak_rss_kb() {
+        Some(kb) => eprintln!("[thm22] peak RSS: {kb} kB"),
+        None => eprintln!("[thm22] peak RSS: unmeasured"),
+    }
     cqs_bench::exit_status()
+}
+
+/// The process's peak resident set in kB (`VmHWM`), where `/proc` has it.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 fn run_checkpointed(

@@ -13,7 +13,8 @@
 
 use cqs_bench::sweeps::{thm22_grid, thm22_large_n_smoke_grid, thm22_sweep};
 use cqs_bench::{try_attack_repr, Target};
-use cqs_core::StreamRepr;
+use cqs_core::{try_run_adversary_repr, Item, StreamRepr};
+use cqs_gk::GkSummary;
 
 /// Runs one (ε, k, target) cell under both representations and asserts
 /// the reports match exactly.
@@ -60,7 +61,8 @@ fn implicit_matches_materialized_on_a_capped_summary() {
 }
 
 /// The full differential grid, up to N = 1024·2¹⁰ ≈ 10⁶: both
-/// representations' id-keyed lookups at scale. Seconds in a release
+/// representations' id-keyed lookups at scale; then the implicit
+/// index's pin accounting at the largest cell. Seconds in a release
 /// build, minutes in a debug one, so `./ci.sh` runs it in release.
 #[test]
 #[ignore = "slow in debug builds; ./ci.sh runs it in release"]
@@ -71,6 +73,25 @@ fn implicit_matches_materialized_up_to_a_million_items() {
                 assert_cell_identical(inv, k, target);
             }
         }
+    }
+    assert_index_pins_only_own_labels(1024, 10);
+}
+
+/// Runs one implicit GK cell and asserts that every item both streams'
+/// indexes keep — fragment bounds and generator endpoints — pins its
+/// own label and none of its seal group.
+fn assert_index_pins_only_own_labels(inv: u64, k: u32) {
+    let eps = cqs_core::Eps::from_inverse(inv);
+    let make = || GkSummary::<Item>::new(eps.value());
+    let outcome = try_run_adversary_repr(eps, k, StreamRepr::Implicit, make)
+        .unwrap_or_else(|e| panic!("1/eps={inv} k={k}: {e}"));
+    for stream in [&outcome.pi, &outcome.rho] {
+        let mut kept = 0usize;
+        stream.for_each_index_bound(&mut |it| {
+            assert_eq!(it.pinned_bytes(), it.label().len(), "{it:?} pins its group");
+            kept += 1;
+        });
+        assert!(kept >= 1 << k, "only {kept} bounds kept for 2^{k} runs");
     }
 }
 

@@ -28,8 +28,11 @@ use crate::state::{EquivalenceChecker, StreamRepr, StreamState};
 
 /// Chunk-sealing group for runs minted into an implicit stream (see
 /// [`cqs_universe::LabelArena::seal_grouped_into`]): a summary-retained
-/// item pins at most this many labels instead of a whole 2/ε run.
-const LEAF_SEAL_GROUP: usize = 32;
+/// item pins at most this many labels instead of a whole 2/ε run. The
+/// stream index keeps detached copies, which pin only their own label.
+/// Groups of one would pin the least but cost a chunk allocation per
+/// minted item; eight cost one per eight items.
+const LEAF_SEAL_GROUP: usize = 8;
 
 /// Audit record for one node of the recursion tree (post-order).
 #[derive(Clone, Debug, PartialEq)]
@@ -682,7 +685,8 @@ impl<S: ComparisonSummary<Item>> Adversary<S> {
     /// observation. Each run is sealed with one block of arena ids;
     /// implicit streams seal it in groups of [`LEAF_SEAL_GROUP`], so a
     /// summary-retained item pins at most that many labels, not the
-    /// whole run.
+    /// whole run. There the runs die with the leaf; the stream index
+    /// keeps only detached copies of a few of their items.
     fn mint_leaf_runs(
         &mut self,
         iv_pi: &Interval,

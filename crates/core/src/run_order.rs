@@ -68,6 +68,17 @@ impl RunSource {
             RunSource::Generated(g) => g.count(),
         }
     }
+
+    /// The copy of run item `it` the index keeps as a fragment bound. A
+    /// stored run already holds the item's chunk, so a clone costs no
+    /// bytes; a generated run keeps the [detached](Item::detached) item,
+    /// which pins its own label and not its seal group.
+    fn keep(&self, it: &Item) -> Item {
+        match self {
+            RunSource::Stored(_) => it.clone(),
+            RunSource::Generated(_) => it.detached(),
+        }
+    }
 }
 
 /// One run of the stream.
@@ -201,7 +212,7 @@ impl RunOrder {
             self.count_le(last) == self.count_less(first),
             "adversarial stream items must be distinct"
         );
-        let span = (first.clone(), last.clone());
+        let span = (source.keep(first), source.keep(last));
         self.push_run(self.len(), span, run_first_id(items), source);
     }
 
@@ -269,7 +280,7 @@ impl RunOrder {
             .filter(|_| cut > f.base && cut < f.base + f.count)
             .and_then(|run| {
                 let left_hi = if q_is_item {
-                    Some(q.clone())
+                    Some(run.source.keep(q))
                 } else {
                     run.source.item_at(cut - 1)
                 };
@@ -463,6 +474,21 @@ impl RunOrder {
         for ((slot, q), l) in out.iter_mut().zip(qs).zip(&found) {
             if slot.is_none() {
                 *slot = self.tag_at(l, q.borrow());
+            }
+        }
+    }
+
+    /// Visits every item the index keeps beyond a stored run's own
+    /// items: each fragment's bounds and each generated run's finite
+    /// endpoints — what the index pins on an implicit stream.
+    pub(crate) fn for_each_bound(&self, f: &mut dyn FnMut(&Item)) {
+        self.tree.for_each(&mut |frag| {
+            f(&frag.lo);
+            f(&frag.hi);
+        });
+        for run in &self.runs {
+            if let RunSource::Generated(g) = &run.source {
+                g.lo().into_iter().chain(g.hi()).for_each(&mut *f);
             }
         }
     }
@@ -811,6 +837,42 @@ mod tests {
             assert_eq!(imp.fragment_count(), 6);
             assert_matches_materialized(&mat, &imp);
         }
+    }
+
+    #[test]
+    fn generated_runs_keep_bounds_that_pin_only_their_labels() {
+        // Runs sealed in groups of eight, indexed as generated runs and
+        // then dropped: whatever the index kept must hold its own label
+        // and nothing of the seal group around it.
+        let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
+        let mut index = |iv: &Interval, n| {
+            let run = cqs_universe::generate_increasing_grouped(iv, n, 8);
+            for it in &run {
+                mat.insert_tagged(it.clone(), mat.len() as u64);
+            }
+            imp.insert_run(iv, &run, source(Kind::Generated, iv, &run));
+            run
+        };
+        let root = index(&Interval::whole(), 64);
+        // Interior pushes: runs between order-adjacent root items split
+        // the root's fragment at a stream item…
+        for i in [5, 17, 40] {
+            index(&Interval::open(root[i].clone(), root[i + 1].clone()), 16);
+        }
+        // …and a run whose low endpoint is no stream item splits it
+        // between two of them.
+        let probe = cqs_universe::between_items(&root[50], &root[51]);
+        index(&Interval::open(probe, root[51].clone()), 16);
+        drop(root);
+        assert_eq!(imp.fragment_count(), 9);
+        let mut kept = 0;
+        imp.for_each_bound(&mut |it| {
+            assert_eq!(it.pinned_bytes(), it.label().len(), "{it:?} pins its group");
+            kept += 1;
+        });
+        // Nine fragments' bounds and the inner runs' eight endpoints.
+        assert_eq!(kept, 2 * 9 + 8);
+        assert_matches_materialized(&mat, &imp);
     }
 
     #[test]

@@ -29,9 +29,11 @@ pub enum StreamRepr {
     /// search. The default.
     Materialized,
     /// Every run keeps only its interval and count, and replays its mint
-    /// on demand, so memory is sublinear in N. The adversary seals leaf
-    /// labels in shared groups for it, so a retained item pins a few
-    /// labels, not its whole run.
+    /// on demand, so memory is sublinear in N: the index keeps detached
+    /// copies of the runs' fragment bounds and interval endpoints, each
+    /// pinning its own label only. The adversary seals leaf labels in
+    /// groups of eight for it, so an item the summary retains pins at
+    /// most eight labels, not its whole run.
     Implicit,
 }
 
@@ -129,6 +131,14 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// accepts back.
     pub fn for_each_arrival(&self, f: &mut dyn FnMut(&Item, u64)) {
         self.order.for_each_tagged(f);
+    }
+
+    /// Visits every item the order index keeps beyond a stored run's own
+    /// items: fragment bounds and generated runs' interval endpoints.
+    /// Memory-accounting introspection: on an implicit stream fed by the
+    /// adversary each should [pin](Item::pinned_bytes) only its label.
+    pub fn for_each_index_bound(&self, f: &mut dyn FnMut(&Item)) {
+        self.order.for_each_bound(f);
     }
 
     /// Appends one item to the stream and feeds it to the summary. The

@@ -149,11 +149,12 @@ impl LabelArena {
     /// the same one block.
     ///
     /// This is the sealing mode of the implicit stream representation:
-    /// there, a run's items are *transient* (fed to the summary, then
-    /// dropped) and a single summary-retained item would otherwise pin
-    /// the whole run's chunk alive. With grouped sealing a retained item
-    /// pins at most `group` labels, keeping resident label bytes
-    /// proportional to the summary's stored size rather than to N.
+    /// there, a run's items are transient (fed to the summary, then
+    /// dropped; the stream index keeps [detached](Item::detached) copies
+    /// of the few it needs) and a single summary-retained item would
+    /// otherwise pin the whole run's chunk alive. With grouped sealing a
+    /// retained item pins at most `group` labels, keeping resident label
+    /// bytes proportional to the summary's stored size rather than to N.
     ///
     /// # Panics
     ///

@@ -202,6 +202,33 @@ impl Item {
         (self.id != NO_ID).then_some(self.id)
     }
 
+    /// The bytes this item keeps alive: the length of the chunk it views,
+    /// which a sealed run's item shares with the rest of its seal group.
+    /// Memory-accounting introspection for the adversary side only, like
+    /// [`label`](Self::label).
+    pub fn pinned_bytes(&self) -> usize {
+        self.chunk.len()
+    }
+
+    /// An equal item that keeps alive only its own label: same label,
+    /// same arena id, so `Eq`, `Ord`, `Hash` and id lookups see no
+    /// difference. An item that already owns a single-label chunk is
+    /// cloned, so detached copies share that chunk; any other gets a
+    /// fresh chunk of exactly its label, one allocation.
+    ///
+    /// For items an index keeps long after their run was fed: a clone
+    /// would pin the whole seal group.
+    pub fn detached(&self) -> Self {
+        if self.off == 0 && self.len as usize == self.chunk.len() {
+            return self.clone();
+        }
+        Item {
+            chunk: Arc::from(self.label()),
+            off: 0,
+            ..*self
+        }
+    }
+
     /// A copy of this item carrying the [`NO_ID`] sentinel — test-only,
     /// for exercising the id-exhaustion comparison path without minting
     /// 2³² items.
@@ -343,6 +370,50 @@ mod tests {
         // Sentinel vs regular id also byte-compares.
         let d = Item::from_label(vec![3, 3]);
         assert_eq!(a.cmp(&d), std::cmp::Ordering::Equal);
+    }
+
+    /// Four items sealed into one chunk, so each pins all four labels.
+    fn sealed_group() -> Vec<Item> {
+        let mut arena = crate::LabelArena::new();
+        for b in [1u8, 2, 3, 4] {
+            arena.push_label(&[9, 9, 9, 9, 9, 9, 9, 9, b]);
+        }
+        arena.seal()
+    }
+
+    #[test]
+    fn detached_items_compare_and_hash_as_their_originals() {
+        use std::hash::BuildHasher;
+        let hasher = std::hash::RandomState::new();
+        let group = sealed_group();
+        let mut items: Vec<Item> = group.iter().map(Item::with_no_id).collect();
+        items.extend(group);
+        for a in &items {
+            let d = a.detached();
+            assert_eq!((d.label(), d.arena_id()), (a.label(), a.arena_id()));
+            assert_eq!(d.pinned_bytes(), a.label().len());
+            assert_eq!(hasher.hash_one(&d), hasher.hash_one(a));
+            for b in &items {
+                assert_eq!(d.cmp(b), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(b.cmp(&d), b.cmp(a), "{b:?} vs {a:?}");
+                assert_eq!(d == *b, a == b);
+            }
+        }
+    }
+
+    #[test]
+    fn detaching_is_idempotent() {
+        for a in sealed_group() {
+            assert_eq!(a.pinned_bytes(), 4 * a.label().len());
+            let once = a.detached();
+            let twice = once.detached();
+            // A detached item already owns its chunk: detaching again
+            // shares it instead of copying the label.
+            assert!(Arc::ptr_eq(&once.chunk, &twice.chunk));
+            assert_eq!((twice.label(), twice.arena_id()), (a.label(), a.arena_id()));
+        }
+        let single = Item::from_label(vec![4, 2]);
+        assert!(Arc::ptr_eq(&single.chunk, &single.detached().chunk));
     }
 
     #[test]

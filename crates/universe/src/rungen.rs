@@ -43,7 +43,8 @@ pub struct RunGenerator {
 
 impl RunGenerator {
     /// A generator for the run of `count` items the balanced subdivision
-    /// mints inside `interval`.
+    /// mints inside `interval`. It keeps [detached](Item::detached)
+    /// endpoints, so it pins only their labels, not their seal groups.
     ///
     /// # Panics
     ///
@@ -53,8 +54,8 @@ impl RunGenerator {
     pub fn new(interval: &Interval, count: u64) -> Self {
         let (lo, hi) = crate::mint_bounds(interval);
         RunGenerator {
-            lo: lo.cloned(),
-            hi: hi.cloned(),
+            lo: lo.map(Item::detached),
+            hi: hi.map(Item::detached),
             count,
             first_id: None,
         }
@@ -194,6 +195,14 @@ mod tests {
         let gen = RunGenerator::of_run(iv, &items);
         let hasher = std::hash::RandomState::new();
         assert_eq!(gen.count(), n);
+        // The endpoints are detached: whatever chunk the interval's items
+        // share, the generator keeps only their labels.
+        for (end, original) in [(gen.lo(), iv.lo()), (gen.hi(), iv.hi())] {
+            if let (Some(end), Endpoint::Finite(original)) = (end, original) {
+                assert_eq!(end.pinned_bytes(), end.label().len());
+                assert_eq!((end.arena_id(), end), (original.arena_id(), original));
+            }
+        }
         for (j, it) in items.iter().enumerate() {
             assert_eq!(
                 gen.label_at(j as u64),
