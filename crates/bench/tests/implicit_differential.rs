@@ -9,36 +9,118 @@
 //! moderate N for every sweep target; the `#[ignore]`d members push the
 //! grid to N = 10⁶ (`./ci.sh` runs it in release) and the single
 //! N ≈ 1.34×10⁸ smoke cell (minutes of wall-clock — run explicitly with
-//! `cargo test --release -- --ignored`).
+//! `cargo test --release -- --ignored`). Every grid cell's report is
+//! also pinned ([`PINNED`]), so the grid keeps an oracle of its own
+//! beside the comparison of the two representations.
+
+use std::collections::BTreeSet;
 
 use cqs_bench::sweeps::{thm22_grid, thm22_large_n_smoke_grid, thm22_sweep};
 use cqs_bench::{try_attack_repr, Target};
-use cqs_core::{try_run_adversary_repr, Item, StreamRepr};
+use cqs_core::{try_run_adversary_repr, Item, StreamRepr, StreamState};
 use cqs_gk::GkSummary;
 
+/// The grid's reports, one row per cell: `(1/ε, k, target, final gap,
+/// max stored, label depth)`.
+const PINNED: &[(u64, u32, &str, u64, usize, usize)] = &[
+    (16, 4, "gk", 28, 43, 4),
+    (16, 4, "gk-greedy", 28, 43, 4),
+    (16, 4, "kll-fixed", 9, 105, 6),
+    (16, 5, "gk", 58, 52, 5),
+    (16, 5, "gk-greedy", 59, 49, 6),
+    (16, 5, "kll-fixed", 32, 116, 12),
+    (16, 6, "gk", 114, 60, 10),
+    (16, 6, "gk-greedy", 121, 58, 8),
+    (16, 6, "kll-fixed", 86, 143, 22),
+    (16, 6, "gk-capped(12)", 761, 12, 19),
+    (16, 7, "gk", 241, 68, 20),
+    (16, 7, "gk-greedy", 248, 67, 13),
+    (16, 7, "kll-fixed", 248, 143, 40),
+    (32, 4, "gk", 28, 92, 5),
+    (32, 4, "gk-greedy", 28, 92, 4),
+    (32, 4, "kll-fixed", 9, 205, 7),
+    (32, 5, "gk", 60, 106, 7),
+    (32, 5, "gk-greedy", 58, 105, 6),
+    (32, 5, "kll-fixed", 35, 217, 14),
+    (32, 6, "gk", 123, 122, 7),
+    (32, 6, "gk-greedy", 119, 121, 9),
+    (32, 6, "kll-fixed", 109, 243, 27),
+    (32, 7, "gk", 243, 137, 10),
+    (32, 7, "gk-greedy", 249, 137, 13),
+    (32, 7, "kll-fixed", 293, 271, 52),
+    (32, 8, "gk", 501, 154, 22),
+    (32, 8, "gk-greedy", 499, 153, 19),
+    (32, 9, "gk", 998, 171, 23),
+    (32, 9, "gk-greedy", 1001, 170, 26),
+    (32, 10, "gk", 2018, 186, 29),
+    (32, 10, "gk-greedy", 2005, 185, 36),
+    (32, 11, "gk", 4039, 204, 40),
+    (32, 11, "gk-greedy", 4005, 200, 67),
+    (32, 12, "gk", 8097, 221, 56),
+    (32, 12, "gk-greedy", 8005, 217, 129),
+    (128, 4, "gk", 28, 380, 7),
+    (128, 4, "gk-greedy", 29, 379, 5),
+    (128, 5, "gk", 60, 442, 9),
+    (128, 5, "gk-greedy", 60, 440, 7),
+    (128, 6, "gk", 125, 505, 9),
+    (128, 6, "gk-greedy", 123, 502, 9),
+    (128, 7, "gk", 251, 571, 9),
+    (128, 7, "gk-greedy", 249, 566, 11),
+    (128, 8, "gk", 503, 636, 13),
+    (128, 8, "gk-greedy", 501, 631, 15),
+    (128, 9, "gk", 1016, 704, 19),
+    (128, 9, "gk-greedy", 1014, 696, 22),
+    (128, 10, "gk", 2033, 766, 24),
+    (128, 10, "gk-greedy", 2030, 760, 28),
+    (128, 11, "gk", 4067, 833, 34),
+    (128, 11, "gk-greedy", 4062, 826, 40),
+    (128, 12, "gk", 8135, 902, 54),
+    (128, 12, "gk-greedy", 8126, 889, 64),
+    (1024, 4, "gk", 28, 3068, 9),
+    (1024, 4, "gk-greedy", 30, 3056, 6),
+    (1024, 5, "gk", 60, 3578, 12),
+    (1024, 5, "gk-greedy", 61, 3572, 7),
+    (1024, 6, "gk", 123, 4090, 12),
+    (1024, 6, "gk-greedy", 124, 4083, 10),
+    (1024, 7, "gk", 250, 4600, 12),
+    (1024, 7, "gk-greedy", 251, 4595, 13),
+    (1024, 8, "gk", 505, 5111, 14),
+    (1024, 8, "gk-greedy", 506, 5105, 16),
+    (1024, 9, "gk", 1016, 5619, 17),
+    (1024, 9, "gk-greedy", 1017, 5615, 18),
+    (1024, 10, "gk", 2038, 6134, 20),
+    (1024, 10, "gk-greedy", 2039, 6127, 21),
+];
+
 /// Runs one (ε, k, target) cell under both representations and asserts
-/// the reports match exactly.
+/// the reports match exactly and match the cell's [`PINNED`] row.
 fn assert_cell_identical(inv: u64, k: u32, target: Target) {
     let eps = cqs_core::Eps::from_inverse(inv);
     let classic = try_attack_repr(eps, k, target, StreamRepr::Materialized);
     let implicit = try_attack_repr(eps, k, target, StreamRepr::Implicit);
+    let name = target.name();
+    let pin = PINNED
+        .iter()
+        .find(|row| (row.0, row.1, row.2) == (inv, k, name.as_str()))
+        .map(|row| (row.3, row.4, row.5));
     match (classic, implicit) {
-        (Ok(a), Ok(b)) => assert_eq!(
-            a,
-            b,
-            "reports diverged at 1/eps={inv} k={k} {}",
-            target.name()
-        ),
-        (Err(a), Err(b)) => assert_eq!(
-            a,
-            b,
-            "errors diverged at 1/eps={inv} k={k} {}",
-            target.name()
-        ),
-        (a, b) => panic!(
-            "outcome shape diverged at 1/eps={inv} k={k} {}: {a:?} vs {b:?}",
-            target.name()
-        ),
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "reports diverged at 1/eps={inv} k={k} {name}");
+            let got = (a.final_gap, a.max_stored, a.max_label_depth);
+            assert_eq!(
+                Some(got),
+                pin,
+                "pinned report moved at 1/eps={inv} k={k} {name}"
+            );
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "errors diverged at 1/eps={inv} k={k} {name}");
+            assert_eq!(
+                pin, None,
+                "pinned cell failed at 1/eps={inv} k={k} {name}: {a}"
+            );
+        }
+        (a, b) => panic!("outcome shape diverged at 1/eps={inv} k={k} {name}: {a:?} vs {b:?}"),
     }
 }
 
@@ -75,6 +157,73 @@ fn implicit_matches_materialized_up_to_a_million_items() {
         }
     }
     assert_index_pins_only_own_labels(1024, 10);
+    assert_stored_runs_hold_only_their_labels(1024, 10);
+}
+
+#[test]
+fn stored_runs_hold_only_their_labels() {
+    assert_stored_runs_hold_only_their_labels(32, 6);
+}
+
+/// Runs one materialized GK cell and asserts, per stream, that its
+/// stored runs hold exactly the label bytes plus 4 B per item and per
+/// run. Then restores the stream from snapshot-shaped pairs — each item
+/// decoded into a chunk of its own — and asserts that the restored
+/// runs again hold exactly the label bytes, and that every item the
+/// restored index keeps or hands out views a run's chunk, so no decoded
+/// item's chunk stays alive.
+fn assert_stored_runs_hold_only_their_labels(inv: u64, k: u32) {
+    let eps = cqs_core::Eps::from_inverse(inv);
+    let make = || GkSummary::<Item>::new(eps.value());
+    let outcome = try_run_adversary_repr(eps, k, StreamRepr::Materialized, make)
+        .unwrap_or_else(|e| panic!("1/eps={inv} k={k}: {e}"));
+    for stream in [outcome.pi, outcome.rho] {
+        let mut pairs = Vec::new();
+        stream.for_each_arrival(&mut |it, tag| {
+            pairs.push((Item::from_label(it.label().to_vec()), tag));
+        });
+        let label_bytes: usize = pairs.iter().map(|(it, _)| it.depth()).sum();
+        let (bytes, items, runs) = stored_runs(&stream, &mut |_| {});
+        assert_eq!(items, stream.len());
+        assert_eq!(
+            bytes + 4 * (items + runs) as usize,
+            label_bytes + 4 * (stream.len() + runs) as usize
+        );
+        let probes: Vec<Item> = pairs.iter().map(|(it, _)| it.clone()).collect();
+        let restored = StreamState::from_snapshot_parts(stream.summary, pairs)
+            .unwrap_or_else(|e| panic!("restore at 1/eps={inv} k={k}: {e}"));
+        let mut chunks = BTreeSet::new();
+        let (bytes, items, _) = stored_runs(&restored, &mut |b| {
+            chunks.insert(b);
+        });
+        assert_eq!((bytes, items), (label_bytes, restored.len()));
+        let mut kept: Vec<Item> = Vec::new();
+        restored.for_each_index_bound(&mut |it| kept.push(it.clone()));
+        kept.extend(restored.min().into_iter().chain(restored.max()));
+        for q in &probes {
+            kept.extend(restored.next(q).into_iter().chain(restored.prev(q)));
+        }
+        for it in &kept {
+            assert!(
+                chunks.contains(&it.pinned_bytes()),
+                "{it:?} pins no run chunk"
+            );
+        }
+    }
+}
+
+/// Sums `stream`'s stored runs as `(chunk bytes, items, runs)`, passing
+/// each run's chunk bytes to `each`.
+fn stored_runs<S: cqs_core::ComparisonSummary<Item>>(
+    stream: &StreamState<S>,
+    each: &mut dyn FnMut(usize),
+) -> (usize, u64, u64) {
+    let (mut bytes, mut items, mut runs) = (0, 0, 0);
+    stream.for_each_stored_run(&mut |b, count| {
+        each(b);
+        (bytes, items, runs) = (bytes + b, items + count, runs + 1);
+    });
+    (bytes, items, runs)
 }
 
 /// Runs one implicit GK cell and asserts that every item both streams'

@@ -1019,7 +1019,8 @@ where
 /// `StreamRepr::Implicit` keeps both order indexes interval-compressed
 /// (memory sublinear in N for summaries that store o(N) items), which
 /// is what lets the sweep drive N = 10⁸–10⁹ cells; `Materialized` keeps
-/// every run's items and reports byte-for-byte the same.
+/// every run's labels — their bytes plus 4 B per item — and reports
+/// byte-for-byte the same.
 pub fn try_run_adversary_repr<S, F>(
     eps: Eps,
     k: u32,

@@ -15,10 +15,11 @@
 //! of its item 0, and a [`RunSource`] per run that answers lookups
 //! inside the run:
 //!
-//! * [`RunSource::Stored`] keeps the run's minted items
-//!   ([`StreamRepr::Materialized`](crate::state::StreamRepr)): Θ(N)
-//!   resident items, and a lookup is a binary search over at most 2/ε
-//!   of them.
+//! * [`RunSource::Stored`] keeps a [`StoredRun`]
+//!   ([`StreamRepr::Materialized`](crate::state::StreamRepr)): the run's
+//!   labels in one chunk — the leaf's sealed chunk itself — plus a
+//!   4-byte bound per item, so Θ(N) resident label bytes; a probe with
+//!   no run id binary-searches at most 2/ε labels.
 //! * [`RunSource::Generated`] keeps a [`RunGenerator`]
 //!   ([`StreamRepr::Implicit`](crate::state::StreamRepr)): a run is a
 //!   pure function of its interval and count, so the generator replays
@@ -36,46 +37,65 @@
 //! stretches whose ids are not consecutive, post-exhaustion items) fall
 //! back to the tree and the run source. Both sources answer identically,
 //! because the generator replays the very subdivision that minted the
-//! stored items (the differential suite in `cqs-bench` pins this).
+//! stored labels (the differential suite in `cqs-bench` pins this).
 
 use std::borrow::Borrow;
 
 use cqs_ostree::{Fragment, Locate, RunTree};
-use cqs_universe::{run_first_id, Endpoint, Interval, Item, RunGenerator};
+use cqs_universe::{Endpoint, Interval, Item, RunGenerator, StoredRun};
 
 /// Where one run's items come from.
 pub(crate) enum RunSource {
-    /// The run's minted items, resident in label order.
-    Stored(Box<[Item]>),
+    /// The run's labels, resident in label order.
+    Stored(StoredRun),
     /// The label oracle that replays the run's mint on demand.
     Generated(RunGenerator),
 }
 
 impl RunSource {
-    /// The run's `j`-th item in label order: a clone of the stored item,
-    /// or a re-mint equal to it (with its id, for a sealed run).
+    /// The run's `j`-th item in label order: a view of the stored
+    /// labels, or a re-mint; either equals the original, and carries its
+    /// id when the run's ids are consecutive.
     fn item_at(&self, j: u64) -> Option<Item> {
-        match self {
-            RunSource::Stored(items) => usize::try_from(j).ok().and_then(|j| items.get(j)).cloned(),
-            RunSource::Generated(g) => (j < g.count()).then(|| g.item_at(j)),
-        }
+        (j < self.count()).then(|| match self {
+            RunSource::Stored(s) => s.item_at(j),
+            RunSource::Generated(g) => g.item_at(j),
+        })
     }
 
     /// Number of items in the run.
     fn count(&self) -> u64 {
         match self {
-            RunSource::Stored(items) => items.len() as u64,
+            RunSource::Stored(s) => s.count(),
             RunSource::Generated(g) => g.count(),
         }
     }
 
-    /// The copy of run item `it` the index keeps as a fragment bound. A
-    /// stored run already holds the item's chunk, so a clone costs no
-    /// bytes; a generated run keeps the [detached](Item::detached) item,
-    /// which pins its own label and not its seal group.
-    fn keep(&self, it: &Item) -> Item {
+    /// Arena id of the run's item 0 when item `j` carries id `first + j`.
+    fn first_id(&self) -> Option<u32> {
         match self {
-            RunSource::Stored(_) => it.clone(),
+            RunSource::Stored(s) => s.first_id(),
+            RunSource::Generated(g) => g.first_id(),
+        }
+    }
+
+    /// Where label `q` falls in the run, as [`slice::binary_search`]
+    /// reports it.
+    fn position(&self, q: &[u8]) -> Result<u64, u64> {
+        match self {
+            RunSource::Stored(s) => s.position(q),
+            RunSource::Generated(g) => g.position(q),
+        }
+    }
+
+    /// The copy of run item `it`, at in-run index `j`, that the index
+    /// keeps as a fragment bound. A stored run gives a view of its own
+    /// chunk, which costs no label bytes; a generated run keeps the
+    /// [detached](Item::detached) item, which pins its own label and not
+    /// its seal group.
+    fn keep(&self, it: &Item, j: u64) -> Item {
+        match self {
+            RunSource::Stored(_) => self.item_at(j).unwrap_or_else(|| it.detached()),
             RunSource::Generated(_) => it.detached(),
         }
     }
@@ -86,8 +106,6 @@ struct Run {
     /// Global arrival tag of the run's item 0: runs arrive whole, so the
     /// tag of its `j`-th item is `start + j`.
     start: u64,
-    /// Arena id of the run's item 0 when item `j` carries id `first + j`.
-    first_id: Option<u32>,
     source: RunSource,
 }
 
@@ -95,7 +113,7 @@ impl Run {
     /// The in-run index of `q`, if its id marks it as one of this run's
     /// items.
     fn index_by_id(&self, q: &Item) -> Option<u64> {
-        let j = u64::from(q.arena_id()?.checked_sub(self.first_id?)?);
+        let j = u64::from(q.arena_id()?.checked_sub(self.source.first_id()?)?);
         (j < self.source.count()).then_some(j)
     }
 }
@@ -135,31 +153,36 @@ impl RunOrder {
     /// in label order, which the caller has validated (strictly
     /// increasing items, tags a permutation of `0..pairs.len()`). Each
     /// maximal stretch whose tags rise by exactly 1 becomes one stored
-    /// run. Returns `None` if the stretches overflow the `u32` run-id
-    /// space.
+    /// run, its labels copied into one chunk (a stretch past 4 GiB of
+    /// labels continues as a second run), and the index keeps nothing of
+    /// the given items. Returns `None` if the stretches overflow the
+    /// `u32` run-id space.
     pub(crate) fn from_sorted_tagged(pairs: Vec<(Item, u64)>) -> Option<Self> {
         let mut order = Self::new();
         let mut stretch: Vec<Item> = Vec::new();
-        let mut start = 0;
+        let (mut start, mut bytes) = (0, 0usize);
         let mut pairs = pairs.into_iter().peekable();
         while let Some((item, tag)) = pairs.next() {
             if stretch.is_empty() {
-                start = tag;
+                (start, bytes) = (tag, 0);
             }
+            bytes += item.depth();
             stretch.push(item);
-            if pairs
-                .peek()
-                .is_some_and(|(_, next)| tag.checked_add(1) == Some(*next))
-            {
+            if pairs.peek().is_some_and(|(next_item, next)| {
+                tag.checked_add(1) == Some(*next) && bytes + next_item.depth() <= u32::MAX as usize
+            }) {
                 continue;
             }
             if order.runs_exhausted() {
                 return None;
             }
-            let items = std::mem::take(&mut stretch).into_boxed_slice();
-            let first_id = run_first_id(&items);
-            if let (Some(lo), Some(hi)) = (items.first().cloned(), items.last().cloned()) {
-                order.push_run(start, (lo, hi), first_id, RunSource::Stored(items));
+            let source = RunSource::Stored(StoredRun::new(&stretch));
+            stretch.clear();
+            let bounds = source
+                .item_at(0)
+                .zip(source.item_at(source.count().saturating_sub(1)));
+            if let Some(span) = bounds {
+                order.push_run(start, span, source);
             }
         }
         Some(order)
@@ -212,21 +235,18 @@ impl RunOrder {
             self.count_le(last) == self.count_less(first),
             "adversarial stream items must be distinct"
         );
-        let span = (source.keep(first), source.keep(last));
-        self.push_run(self.len(), span, run_first_id(items), source);
+        let span = (
+            source.keep(first, 0),
+            source.keep(last, source.count().saturating_sub(1)),
+        );
+        self.push_run(self.len(), span, source);
     }
 
     /// Registers a run spanning `lo..=hi` that overlaps no fragment as
     /// one whole fragment, and in the id directory when its ids run
-    /// consecutively from `first_id` and above every entry's.
-    fn push_run(
-        &mut self,
-        start: u64,
-        (lo, hi): (Item, Item),
-        first_id: Option<u32>,
-        source: RunSource,
-    ) {
-        let (count, run) = (source.count(), self.runs.len() as u32);
+    /// consecutively and above every entry's.
+    fn push_run(&mut self, start: u64, (lo, hi): (Item, Item), source: RunSource) {
+        let (count, run, first_id) = (source.count(), self.runs.len() as u32, source.first_id());
         self.tree.insert_fragment(Fragment {
             lo,
             hi,
@@ -240,11 +260,7 @@ impl RunOrder {
                 self.by_id.push(IdRange { first, end, run });
             }
         }
-        self.runs.push(Run {
-            start,
-            first_id,
-            source,
-        });
+        self.runs.push(Run { start, source });
     }
 
     /// Whether one more run can be registered without overflowing the
@@ -280,7 +296,7 @@ impl RunOrder {
             .filter(|_| cut > f.base && cut < f.base + f.count)
             .and_then(|run| {
                 let left_hi = if q_is_item {
-                    Some(run.source.keep(q))
+                    Some(run.source.keep(q, cut - 1))
                 } else {
                     run.source.item_at(cut - 1)
                 };
@@ -323,22 +339,7 @@ impl RunOrder {
         if let Some(idx) = run.index_by_id(q).filter(|&idx| idx >= f.base && idx < end) {
             return Ok(idx);
         }
-        match &run.source {
-            RunSource::Stored(items) => {
-                let span = usize::try_from(f.base)
-                    .ok()
-                    .zip(usize::try_from(end).ok())
-                    .and_then(|(b, e)| items.get(b..e));
-                match span {
-                    Some(span) => match span.binary_search(q) {
-                        Ok(i) => Ok(f.base + i as u64),
-                        Err(i) => Err(f.base + i as u64),
-                    },
-                    None => Err(f.base),
-                }
-            }
-            RunSource::Generated(g) => g.position(q.label()),
-        }
+        run.source.position(q.label())
     }
 
     /// How many stream items compare `<= q`, for the probe whose
@@ -489,6 +490,16 @@ impl RunOrder {
         for run in &self.runs {
             if let RunSource::Generated(g) = &run.source {
                 g.lo().into_iter().chain(g.hi()).for_each(&mut *f);
+            }
+        }
+    }
+
+    /// Visits every stored run with the bytes its chunk holds and its
+    /// item count; the run's bounds add 4 bytes per item and one more.
+    pub(crate) fn for_each_stored(&self, f: &mut dyn FnMut(usize, u64)) {
+        for run in &self.runs {
+            if let RunSource::Stored(s) = &run.source {
+                f(s.pinned_bytes(), s.count());
             }
         }
     }
@@ -648,7 +659,7 @@ mod tests {
     /// The run source of `kind` for `items`, minted inside `iv`.
     fn source(kind: Kind, iv: &Interval, items: &[Item]) -> RunSource {
         match kind {
-            Kind::Stored => RunSource::Stored(items.into()),
+            Kind::Stored => RunSource::Stored(StoredRun::new(items)),
             Kind::Generated => RunSource::Generated(RunGenerator::of_run(iv, items)),
         }
     }
@@ -878,7 +889,7 @@ mod tests {
     #[test]
     fn empty_run_is_a_no_op() {
         for source in [
-            RunSource::Stored(Box::new([])),
+            RunSource::Stored(StoredRun::new(&[])),
             RunSource::Generated(RunGenerator::new(&Interval::whole(), 0)),
         ] {
             let mut imp = RunOrder::new();
@@ -923,8 +934,12 @@ mod tests {
         let (mut mat, mut imp) = (SortedModel::new(), RunOrder::new());
         for it in labels {
             if mat.insert_tagged(it.clone(), mat.len() as u64) {
-                let source = RunSource::Stored(Box::new([it.clone()]));
-                imp.insert_run(&Interval::whole(), std::slice::from_ref(it), source);
+                let run = std::slice::from_ref(it);
+                imp.insert_run(
+                    &Interval::whole(),
+                    run,
+                    RunSource::Stored(StoredRun::new(run)),
+                );
             }
         }
         let sorted: Vec<Item> = mat.tagged().iter().map(|(it, _)| it.clone()).collect();

@@ -13,7 +13,7 @@
 
 use std::borrow::Borrow;
 
-use cqs_universe::{Endpoint, Interval, Item, RunGenerator};
+use cqs_universe::{Endpoint, Interval, Item, RunGenerator, StoredRun};
 
 use crate::model::ComparisonSummary;
 use crate::run_order::{RunOrder, RunSource};
@@ -24,9 +24,10 @@ use crate::run_order::{RunOrder, RunSource};
 /// adversary mints leaves for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamRepr {
-    /// Every run keeps its minted items, each with its own arena id:
-    /// Θ(N) resident items, and a lookup inside a run is a binary
-    /// search. The default.
+    /// Every run keeps its minted labels in one chunk
+    /// ([`StoredRun`]): Θ(N) resident label bytes plus 4 B per item.
+    /// A lookup of one of the run's items is O(1) through its arena id;
+    /// any other probe binary-searches the run's labels. The default.
     Materialized,
     /// Every run keeps only its interval and count, and replays its mint
     /// on demand, so memory is sublinear in N: the index keeps detached
@@ -134,11 +135,21 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     }
 
     /// Visits every item the order index keeps beyond a stored run's own
-    /// items: fragment bounds and generated runs' interval endpoints.
+    /// labels: fragment bounds and generated runs' interval endpoints.
     /// Memory-accounting introspection: on an implicit stream fed by the
     /// adversary each should [pin](Item::pinned_bytes) only its label.
     pub fn for_each_index_bound(&self, f: &mut dyn FnMut(&Item)) {
         self.order.for_each_bound(f);
+    }
+
+    /// Visits every stored run with the bytes of the chunk it keeps and
+    /// its item count. A run's bounds add `4 × (count + 1)` bytes, so on
+    /// a materialized stream the adversary fed, the runs hold exactly
+    /// their label bytes plus 4 B per item and per run.
+    /// Memory-accounting introspection, like
+    /// [`for_each_index_bound`](Self::for_each_index_bound).
+    pub fn for_each_stored_run(&self, f: &mut dyn FnMut(usize, u64)) {
+        self.order.for_each_stored(f);
     }
 
     /// Appends one item to the stream and feeds it to the summary. The
@@ -152,7 +163,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     pub fn push(&mut self, item: Item) {
         let run = std::slice::from_ref(&item);
         self.validate_run(run);
-        let source = RunSource::Stored(Box::new([item.clone()]));
+        let source = RunSource::Stored(StoredRun::new(run));
         self.order.insert_run(&Interval::whole(), run, source);
         self.summary.insert(item);
         self.n += 1;
@@ -200,7 +211,7 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
             "run item escaped its mint interval"
         );
         let source = match self.repr {
-            StreamRepr::Materialized => RunSource::Stored(run.into()),
+            StreamRepr::Materialized => RunSource::Stored(StoredRun::new(run)),
             StreamRepr::Implicit => RunSource::Generated(RunGenerator::of_run(iv, run)),
         };
         self.order.insert_run(iv, run, source);
@@ -400,13 +411,10 @@ impl<S: ComparisonSummary<Item>> StreamState<S> {
     /// endpoints (which, per the paper, count as array elements even when
     /// the summary has discarded them).
     pub fn restricted_item_array(&self, iv: &Interval) -> Vec<Endpoint> {
-        let mut out = Vec::new();
-        out.push(iv.lo().clone());
-        self.summary.for_each_item(&mut |it| {
-            if iv.contains(it) {
-                out.push(Endpoint::Finite(it.clone()));
-            }
-        });
+        let (lo, hi) = iv.finite_bounds();
+        let mut out = vec![iv.lo().clone()];
+        self.summary
+            .for_each_item_between(lo, hi, &mut |it| out.push(Endpoint::Finite(it.clone())));
         out.push(iv.hi().clone());
         out
     }

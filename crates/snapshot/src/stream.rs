@@ -9,16 +9,18 @@
 //! rebuilds the order index through
 //! [`StreamState::from_snapshot_parts`], which re-checks sortedness,
 //! tag permutation, and summary/stream length agreement, and stores each
-//! stretch of consecutive arrival tags as one run.
+//! stretch of consecutive arrival tags as one run: its labels copied
+//! into one chunk, plus 4 B per item. The decoded items, one chunk each,
+//! are dropped once the runs hold their labels.
 //!
 //! The wire format is representation-agnostic: an interval-compressed
 //! (`StreamRepr::Implicit`) state replays its items through the same
 //! `for_each_arrival` walk — the run generators mint labels by the
 //! deterministic balanced subdivision, so the `TAGS` section comes out
 //! byte-identical to a materialized state over the same stream. Restore
-//! always yields a materialized state (the items are in hand anyway);
+//! always yields a materialized state (the labels are in hand anyway);
 //! the snapshot is therefore also the escape hatch for converting an
-//! implicit stream back to per-item form. Note the section is Θ(N) —
+//! implicit stream back to stored labels. Note the section is Θ(N) —
 //! snapshotting a large-N implicit stream forfeits its space advantage,
 //! which is why the billion-item sweep checkpoints at the *cell* level
 //! (completed `AdversaryReport`s) rather than mid-stream.

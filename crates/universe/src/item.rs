@@ -184,6 +184,12 @@ impl Item {
         &self.chunk[start..start + self.len as usize]
     }
 
+    /// The chunk this item views and its label's byte range in it.
+    pub(crate) fn chunk_span(&self) -> (&Arc<[u8]>, usize, usize) {
+        let start = self.off as usize;
+        (&self.chunk, start, start + self.len as usize)
+    }
+
     /// Length of the label in bytes — a proxy for how deeply nested in
     /// the interval-refinement recursion this item was minted.
     pub fn depth(&self) -> usize {

@@ -40,12 +40,14 @@ mod interval;
 mod item;
 mod label;
 mod rungen;
+mod stored;
 
 pub use arena::{ids_exhausted, run_first_id, LabelArena};
 pub use interval::{Endpoint, Interval};
 pub use item::Item;
 pub use label::between_labels;
 pub use rungen::RunGenerator;
+pub use stored::StoredRun;
 
 /// Produces a fresh item strictly between `a` and `b`.
 ///

@@ -84,6 +84,12 @@ impl RunGenerator {
         self.count
     }
 
+    /// Arena id of the replayed run's item 0, for a generator built
+    /// [`of_run`](Self::of_run) a run with consecutive ids.
+    pub fn first_id(&self) -> Option<u32> {
+        self.first_id
+    }
+
     /// The run's exclusive low endpoint, if finite.
     pub fn lo(&self) -> Option<&Item> {
         self.lo.as_ref()
